@@ -336,14 +336,8 @@ def cmd_worker(args) -> int:
     from repro.sim.executors.remote import supervise_worker, worker_main
 
     if args.respawn:
-        return supervise_worker(
-            args.connect, cache_dir=args.cache_dir, retry_s=args.retry_s,
-            log=print,
-        )
-    return worker_main(
-        args.connect, cache_dir=args.cache_dir, retry_s=args.retry_s,
-        log=print,
-    )
+        return supervise_worker(args.connect, retry_s=args.retry_s, log=print)
+    return worker_main(args.connect, retry_s=args.retry_s, log=print)
 
 
 def _cache_store(args):
@@ -796,11 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
         help="coordinator address printed by repro sweep --executor remote",
-    )
-    worker_parser.add_argument(
-        "--cache-dir", dest="cache_dir", default=None,
-        help="on-disk result cache directory (default: the cache dir the "
-             "coordinator sends with each job)",
     )
     worker_parser.add_argument(
         "--retry-s", dest="retry_s", type=float, default=15.0,

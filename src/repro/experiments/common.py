@@ -1,8 +1,10 @@
 """Shared experiment infrastructure.
 
-- A process-wide (and optional on-disk) result cache: many figures share
-  the same baseline runs, and pytest-benchmark repeats harness calls.
-- ``run_app``: build a fresh system + app for a configuration and simulate.
+- ``run_app``: simulate an app under a configuration through the one
+  result cache (:data:`repro.sim.store.RESULTS`: a bounded in-memory LRU
+  in front of the optional disk store under ``REPRO_CACHE_DIR``) — many
+  figures share the same baseline runs, and pytest-benchmark repeats
+  harness calls.
 - ``ExperimentResult``: rows + formatting shared by all figure harnesses.
 
 Scale: experiments honour the ``REPRO_SCALE`` environment variable
@@ -22,13 +24,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig, TxScheme, table1_config
 from repro.sim.results import SimResult, geomean
-from repro.sim.store import ResultStore
+from repro.sim.store import RESULTS
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
 
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
-
-_CACHE: Dict[str, SimResult] = {}
 
 _CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", "")
 
@@ -45,7 +45,9 @@ _LOG = logging.getLogger("repro.experiments.cache")
 
 
 def clear_cache() -> None:
-    _CACHE.clear()
+    """Forget every in-memory result (the disk store is untouched)."""
+
+    RESULTS.clear()
 
 
 def _config_signature(config: SystemConfig) -> str:
@@ -74,23 +76,6 @@ def cache_key(app_name: str, config: SystemConfig, scale: float) -> str:
     """Public cache identity of one (app, config, scale) simulation."""
 
     return _cache_key(app_name, config, scale)
-
-
-def _store() -> Optional[ResultStore]:
-    """The content-addressed store rooted at ``_CACHE_DIR`` (the
-    module-level knob tests monkeypatch), or ``None`` when no disk cache
-    is configured."""
-
-    if not _CACHE_DIR:
-        return None
-    return ResultStore(_CACHE_DIR)
-
-
-def _disk_path(key: str) -> Optional[str]:
-    store = _store()
-    if store is None:
-        return None
-    return store.path_for(key)
 
 
 def serialize_result(result: SimResult) -> Dict:
@@ -151,58 +136,36 @@ def result_fingerprint(result: SimResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _quarantine(path: str, reason: str) -> None:
-    """Move a bad cache file aside (delegates to the store's unique-suffix
-    quarantine, which is safe against two processes racing on one entry)."""
-
-    store = _store()
-    if store is None:
-        return
-    store.quarantine(path, reason)
-
-
-def _load_disk(key: str) -> Optional[SimResult]:
-    store = _store()
-    if store is None:
-        return None
-    return store.load(key)
-
-
-def _store_disk(key: str, result: SimResult) -> None:
-    store = _store()
-    if store is None:
-        return
-    store.store(key, result)
-
-
 def run_app(
     app_name: str,
     config: Optional[SystemConfig] = None,
     scale: Optional[float] = None,
     use_cache: bool = True,
 ) -> SimResult:
-    """Simulate ``app_name`` under ``config`` (Table 1 baseline by default)."""
+    """Simulate ``app_name`` under ``config`` (Table 1 baseline by default),
+    served from and stored to the result cache unless ``use_cache`` is off."""
 
     if config is None:
         config = table1_config()
     if scale is None:
         scale = DEFAULT_SCALE
     scale = float(scale)
+    if not use_cache:
+        return simulate(app_name, config, scale)
     key = _cache_key(app_name, config, scale)
-    if use_cache:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            return cached
-        cached = _load_disk(key)
-        if cached is not None:
-            _CACHE[key] = cached
-            return cached
-    app = make_app(app_name, scale=scale, page_size=config.page_size)
-    result = GPUSystem(config).run(app)
-    if use_cache:
-        _CACHE[key] = result
-        _store_disk(key, result)
+    cached = RESULTS.get(key, _CACHE_DIR)
+    if cached is not None:
+        return cached
+    result = simulate(app_name, config, scale)
+    RESULTS.put(key, result, _CACHE_DIR)
     return result
+
+
+def simulate(app_name: str, config: SystemConfig, scale: float) -> SimResult:
+    """One uncached simulation: a fresh system and app, run to completion."""
+
+    app = make_app(app_name, scale=scale, page_size=config.page_size)
+    return GPUSystem(config).run(app)
 
 
 def scheme_config(scheme: TxScheme) -> SystemConfig:

@@ -1,19 +1,18 @@
 """Simulation-as-a-service: an async job-queue HTTP API over the sweep runner.
 
-The CLI research tool becomes a long-running service in four small,
+The CLI research tool becomes a long-running service in three small,
 dependency-light pieces (stdlib only — ``asyncio`` + ``http`` + ``json``):
 
 - :mod:`repro.service.jobs` — job *specs*: validation with actionable
   errors, canonicalization (so equivalent specs share one identity), and
   expansion into :class:`repro.sim.runner.SweepJob` grids.
-- :mod:`repro.service.executor` — :class:`SharedProcessPool`, a
-  :class:`repro.sim.runner.PoolHost` that keeps one process pool alive
-  across requests and evicts it after an idle quiet period.
 - :mod:`repro.service.manager` — :class:`JobManager`, the job queue:
   submissions are deduplicated against in-flight and completed jobs (and,
   transitively, against the on-disk result cache inside the runner), and
   an executor thread batches everything queued into single
-  :class:`~repro.sim.runner.SweepRunner` calls on the shared pool.
+  :class:`~repro.sim.runner.SweepRunner` calls on one
+  :class:`~repro.sim.executors.local.PoolExecutor`, kept across requests
+  and evicted after an idle quiet period.
 - :mod:`repro.service.http` / :mod:`repro.service.client` — the asyncio
   HTTP front-end (``POST /jobs``, ``GET /jobs/<id>``, NDJSON progress
   streaming, ``/healthz``, ``/version``) and the tiny stdlib client used
@@ -24,7 +23,6 @@ reference and lifecycle semantics.
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.executor import SharedProcessPool
 from repro.service.jobs import SpecError, expand_spec, spec_key, validate_spec
 from repro.service.manager import JobManager, JobRecord
 
@@ -33,7 +31,6 @@ __all__ = [
     "JobRecord",
     "ServiceClient",
     "ServiceError",
-    "SharedProcessPool",
     "SpecError",
     "expand_spec",
     "spec_key",

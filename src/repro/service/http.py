@@ -133,6 +133,12 @@ class ServiceServer:
             )
         finally:
             try:
+                # Half-close first: shutdown(SHUT_WR) sends FIN even while
+                # forked pool workers hold duplicates of this socket, which
+                # a bare close() would not — the client's stream would
+                # stay open until those workers exit.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError) as error:

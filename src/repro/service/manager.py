@@ -13,8 +13,8 @@ A submitted spec becomes a :class:`JobRecord` that moves through
   whose grid overlaps past work only simulates the genuinely novel jobs.
 - **Batching**: one executor thread drains everything queued at once and
   pushes it through a single :class:`~repro.sim.runner.SweepRunner` call
-  per knob group (timeout / max_retries), on the one
-  :class:`~repro.service.executor.SharedProcessPool` — concurrent requests
+  per knob group (timeout / max_retries), on the manager's one
+  :class:`~repro.sim.executors.local.PoolExecutor` — concurrent requests
   share a pool instead of each spawning their own, and overlapping grids
   collapse inside the runner's own dedup.
 - **Fault tolerance**: batches always run ``keep_going=True``; a job that
@@ -45,7 +45,7 @@ from repro.sim.runner import (
     SweepRunner,
     default_workers,
 )
-from repro.service.executor import DEFAULT_IDLE_TIMEOUT_S, SharedProcessPool
+from repro.sim.executors.local import DEFAULT_IDLE_TIMEOUT_S, PoolExecutor
 from repro.service.jobs import expand_spec, spec_key, validate_spec
 
 QUEUED = "queued"
@@ -119,7 +119,7 @@ class JobManager:
         self.workers = workers if workers is not None else default_workers()
         self.default_timeout = timeout
         self.default_max_retries = max_retries
-        self.pool = SharedProcessPool(
+        self.pool = PoolExecutor(
             max_workers=self.workers, idle_timeout_s=idle_timeout_s
         )
         self._log_sink = log
@@ -405,7 +405,7 @@ class JobManager:
             timeout=timeout,
             max_retries=max_retries,
             keep_going=True,
-            pool_host=self.pool,
+            executor=self.pool,
         )
         try:
             results, report = runner.run_with_report(all_jobs)

@@ -6,15 +6,17 @@ decides where attempts execute, the runner keeps dedup, retries,
 timeouts, crash attribution, and reporting. Three backends:
 
 - ``serial`` (:class:`SerialExecutor`) — inline in the runner's process.
-- ``pool`` (:class:`PoolExecutor`) — local ``ProcessPoolExecutor``,
-  lifecycle owned by a :class:`~repro.sim.runner.PoolHost` (private per
-  sweep, or the service's shared leased pool).
+- ``pool`` (:class:`PoolExecutor`) — a local ``ProcessPoolExecutor`` it
+  owns and leases to one sweep at a time (built per sweep by the runner,
+  or kept across requests by the service).
 - ``remote`` (:class:`RemoteExecutor`) — ``repro worker`` processes
   pulling jobs from a :class:`Coordinator` over stdlib sockets.
 
-All three produce byte-identical results for the same grid
-(``tests/sim/test_executors.py`` enforces this on the fig13 smoke grid)
-and share the runner's failure semantics.
+All three run the same :func:`~repro.sim.runner.run_attempt` and only
+simulate — the runner's process owns the result cache — so they produce
+byte-identical results for the same grid (``tests/sim/test_executors.py``
+enforces this on the fig13 smoke grid) and share the runner's failure
+semantics.
 """
 
 from repro.sim.executors.base import EXECUTOR_NAMES, SweepExecutor

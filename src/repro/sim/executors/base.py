@@ -17,6 +17,10 @@ the runner's fault-tolerance loop is backend-agnostic:
 - :meth:`run_isolated` is the crash-attribution fallback: run one job in
   the most isolated context the backend can offer and let the exception
   type name the disposition.
+
+Executors only simulate: every backend runs
+:func:`~repro.sim.runner.run_attempt`, and the runner's process does all
+result-cache reads and writes.
 """
 
 from __future__ import annotations
@@ -49,15 +53,11 @@ class SweepExecutor:
         raise NotImplementedError
 
     def submit(
-        self,
-        job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
-        """Start one attempt; the future resolves to a
-        :class:`~repro.sim.runner.WorkerOutcome` or raises. May raise
+        """Start one attempt (:func:`~repro.sim.runner.run_attempt`); the
+        future resolves to a :class:`~repro.sim.runner.WorkerOutcome` or
+        raises. May raise
         ``BrokenProcessPool``/``RuntimeError`` when the backend is broken
         at submission time (the runner recycles and re-submits)."""
 
@@ -77,11 +77,13 @@ class SweepExecutor:
 
         raise NotImplementedError
 
+    def shutdown(self) -> None:
+        """Release everything the executor holds; called by a runner on
+        an executor it built itself, after the sweep's :meth:`close`."""
+
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],

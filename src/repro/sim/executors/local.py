@@ -2,77 +2,32 @@
 
 :class:`SerialExecutor` runs every attempt inline in the runner's own
 process — no pool, no pickling, pdb/coverage/profiling-friendly — and
-:class:`PoolExecutor` adapts any :class:`~repro.sim.runner.PoolHost`
-(the default private per-sweep pool, or the service's long-lived
-:class:`~repro.service.executor.SharedProcessPool`) to the
-:class:`~repro.sim.executors.base.SweepExecutor` contract. Both produce
-byte-identical results to each other and to the remote backend: the
-simulator is deterministic and all three feed the same
-:func:`~repro.sim.runner._simulate` semantics.
+:class:`PoolExecutor` runs attempts on a local ``ProcessPoolExecutor``
+that it owns. Both run the same :func:`~repro.sim.runner.run_attempt`
+as the remote backend, so all three produce byte-identical results.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import List, Optional
+from typing import Dict, Optional
 
 from repro.sim.executors.base import FaultHook, SweepExecutor
-from repro.sim.profiling import Hotspot, HotspotProfiler, profile_top
-from repro.sim.runner import (
-    PoolHost,
-    PrivatePoolHost,
-    SweepJob,
-    WorkerOutcome,
-    _simulate,
-)
+from repro.sim.runner import SweepJob, WorkerOutcome, default_workers, run_attempt
 
-
-def execute_inline(
-    job: SweepJob, use_cache: bool, attempt: int, fault: FaultHook
-) -> WorkerOutcome:
-    """One attempt in the current process.
-
-    Mirrors :func:`~repro.sim.runner._simulate` (fault hook, optional
-    profiling, timing) but deliberately does NOT touch
-    ``common._CACHE_DIR`` / ``common._CACHE``: worker processes reset
-    those to escape stale fork-inherited state, while the parent process
-    must keep its module state intact.
-    """
-
-    from repro.experiments import common
-
-    started = time.perf_counter()
-    if fault is not None:
-        fault(job, attempt)
-    top_n = profile_top()
-    if top_n:
-        with HotspotProfiler(top_n) as profiler:
-            result = common.run_app(
-                job.app_name, job.config, job.scale, use_cache=use_cache
-            )
-        hotspots: Optional[List[Hotspot]] = profiler.hotspots()
-    else:
-        result = common.run_app(
-            job.app_name, job.config, job.scale, use_cache=use_cache
-        )
-        hotspots = None
-    return WorkerOutcome(
-        result=result,
-        duration_s=time.perf_counter() - started,
-        worker_pid=os.getpid(),
-        hotspots=hotspots,
-    )
+#: Seconds without a lease after which :meth:`PoolExecutor.evict_if_idle`
+#: shuts the pool down.
+DEFAULT_IDLE_TIMEOUT_S = 60.0
 
 
 class SerialExecutor(SweepExecutor):
     """Everything inline, width 1. ``submit`` runs the attempt before
     returning, so the returned future is always already resolved; the
-    runner's collection loop degenerates to one attempt at a time.
+    runner's collection loop runs one attempt at a time.
 
-    Crash semantics match the historical serial path: an injected
-    ``crash`` fault is demoted to an exception by
+    An injected ``crash`` fault is demoted to an exception by
     :class:`~repro.sim.runner.SpecFault`'s parent-pid guard rather than
     killing the sweep (there is no worker process to sacrifice).
     """
@@ -83,16 +38,11 @@ class SerialExecutor(SweepExecutor):
         return 1
 
     def submit(
-        self,
-        job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
         future: "Future[WorkerOutcome]" = Future()
         try:
-            outcome = execute_inline(job, use_cache, attempt, fault)
+            outcome = run_attempt(job, attempt, fault)
         except BaseException as error:
             future.set_exception(error)
         else:
@@ -108,62 +58,107 @@ class SerialExecutor(SweepExecutor):
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
     ) -> WorkerOutcome:
-        # No isolation (and no preemption) is possible in-process; the
-        # timeout is unenforceable here, exactly like the serial path.
-        return execute_inline(job, use_cache, attempt, fault)
+        # No isolation (and no preemption) is possible in-process.
+        return run_attempt(job, attempt, fault)
 
 
 class PoolExecutor(SweepExecutor):
-    """The local process pool behind the executor contract.
+    """A local process pool of ``max_workers`` processes.
 
-    The pool's *lifecycle* stays with the :class:`PoolHost` — a private
-    per-sweep pool by default, the service's shared leased pool when one
-    is passed — so ``SharedProcessPool`` is an implementation of the same
-    executor backend, not a parallel code path.
+    - :meth:`acquire` leases the pool to one sweep at a time (a second
+      acquirer blocks until the lease is released), creating it lazily.
+      The sweep may keep ``min(ask, max_workers)`` attempts in flight.
+    - :meth:`recycle` replaces a broken pool (worker crash, hung job)
+      without giving up the lease.
+    - :meth:`close` ends the lease; a *dirty* close (the sweep aborted
+      with futures in flight) discards the pool, so the next lease starts
+      clean.
+    - :meth:`evict_if_idle` shuts the pool down after ``idle_timeout_s``
+      without a lease; the next lease recreates it.
+    - :meth:`shutdown` tears everything down; later leases raise.
+
+    A runner given ``executor="pool"`` builds one sized to its sweep and
+    shuts it down afterwards; the service keeps one across requests and
+    reports :meth:`stats` on ``/healthz``.
     """
 
     name = "pool"
 
-    def __init__(self, host: Optional[PoolHost] = None) -> None:
-        self.host = host if host is not None else PrivatePoolHost()
+    def __init__(
+        self,
+        max_workers: Optional[int] = None,
+        idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
+    ) -> None:
+        resolved = max_workers if max_workers is not None else default_workers()
+        if resolved < 1:
+            raise ValueError(f"max_workers must be >= 1, got {resolved}")
+        if idle_timeout_s <= 0:
+            raise ValueError(f"idle_timeout_s must be > 0, got {idle_timeout_s}")
+        self.max_workers = resolved
+        self.idle_timeout_s = idle_timeout_s
+        self._cond = threading.Condition()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._workers = 0
+        self._leased = False
+        self._last_release = time.monotonic()
+        self._closed = False
+        self._pools_created = 0
+        self._leases = 0
+        self._recycles = 0
+        self._evictions = 0
+
+    def _discard(self) -> None:
+        # Caller holds self._cond. Never waits: a hung worker must not
+        # wedge the sweep that gives up on it.
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     def acquire(self, workers: int) -> int:
-        self._pool, self._workers = self.host.acquire(workers)
-        return self._workers
+        with self._cond:
+            while self._leased and not self._closed:
+                self._cond.wait()
+            if self._closed:
+                raise RuntimeError("PoolExecutor is shut down")
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+                self._pools_created += 1
+            self._leased = True
+            self._leases += 1
+            return min(workers, self.max_workers)
 
     def submit(
-        self,
-        job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
-        assert self._pool is not None, "acquire() first"
-        return self._pool.submit(_simulate, job, cache_dir, use_cache, attempt, fault)
+        pool = self._pool
+        if pool is None:
+            raise RuntimeError("PoolExecutor has no pool (not leased, or shut down)")
+        return pool.submit(run_attempt, job, attempt, fault)
 
     def recycle(self, reason: str) -> None:
-        assert self._pool is not None, "acquire() first"
-        self._pool = self.host.recycle(self._pool, self._workers, reason)
+        with self._cond:
+            if self._closed:
+                raise RuntimeError(f"PoolExecutor is shut down ({reason})")
+            self._discard()
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._recycles += 1
 
     def close(self, dirty: bool = False) -> None:
-        if self._pool is not None:
-            self.host.release(self._pool, dirty=dirty)
-            self._pool = None
+        with self._cond:
+            if dirty:
+                # Futures may still be running in there; never lease a
+                # polluted pool to the next sweep.
+                self._discard()
+            self._leased = False
+            self._last_release = time.monotonic()
+            self._cond.notify_all()
 
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -172,7 +167,46 @@ class PoolExecutor(SweepExecutor):
         # the job kills even its private pool it is the culprit.
         solo = ProcessPoolExecutor(max_workers=1)
         try:
-            future = solo.submit(_simulate, job, cache_dir, use_cache, attempt, fault)
-            return future.result(timeout=timeout)
+            return solo.submit(run_attempt, job, attempt, fault).result(
+                timeout=timeout
+            )
         finally:
             solo.shutdown(wait=False, cancel_futures=True)
+
+    def evict_if_idle(self, now: Optional[float] = None) -> bool:
+        """Shut the pool down if it has been un-leased for the idle window.
+
+        Returns ``True`` when an eviction happened. Cheap to call often —
+        the service's executor loop polls it between queue waits.
+        """
+
+        with self._cond:
+            if self._pool is None or self._leased:
+                return False
+            now = time.monotonic() if now is None else now
+            if now - self._last_release < self.idle_timeout_s:
+                return False
+            self._discard()
+            self._evictions += 1
+            return True
+
+    def shutdown(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._discard()
+            self._cond.notify_all()
+
+    def stats(self) -> Dict:
+        """Pool telemetry (the service's ``GET /healthz`` ``pool``)."""
+
+        with self._cond:
+            return {
+                "alive": self._pool is not None,
+                "leased": self._leased,
+                "max_workers": self.max_workers,
+                "idle_timeout_s": self.idle_timeout_s,
+                "pools_created": self._pools_created,
+                "leases": self._leases,
+                "recycles": self._recycles,
+                "evictions": self._evictions,
+            }

@@ -2,18 +2,22 @@
 
 Topology — one :class:`Coordinator` in the sweep process, N ``repro
 worker --connect HOST:PORT`` processes (any host that can reach the
-coordinator and, for cache sharing, the store directory):
+coordinator; workers need no shared filesystem):
 
     SweepRunner ── RemoteExecutor ── Coordinator ══socket══ worker pull loop
-                                                            └─ _simulate(...)
+                                                            └─ run_attempt(...)
 
 Protocol: length-prefixed pickles (4-byte big-endian size, then a
 pickled tuple) over one long-lived TCP connection per worker:
 
     worker → ("hello", PROTOCOL_VERSION, {"pid": ..., "host": ...})
-    coord  → ("job", task_id, job, cache_dir, use_cache, attempt, fault)
+    coord  → ("job", task_id, job, attempt, fault)
     worker → ("ok", task_id, WorkerOutcome) | ("err", task_id, exception)
     coord  → ("shutdown",)
+
+A hello with another protocol version is answered with
+``("reject", PROTOCOL_VERSION)`` before the coordinator hangs up; the
+worker exits with :data:`EXIT_PROTOCOL`.
 
 Workers *pull*: each connection's handler thread hands out the next
 queued task only when that worker is idle, so a slow host never queues
@@ -36,9 +40,8 @@ Fault semantics match the local pool byte-for-byte at the runner level:
   queue behind other tasks.
 
 Results and the cache: workers run the same
-:func:`~repro.sim.runner._simulate` body as pool workers, against the
-``cache_dir`` the coordinator sends (overridable per worker with
-``--cache-dir`` for hosts that mount the shared store elsewhere), so N
+:func:`~repro.sim.runner.run_attempt` as pool workers and send the
+result back; the coordinator's process (the runner) stores it, so N
 remote workers populate the same content-addressed store entries a
 serial run would.
 """
@@ -60,9 +63,9 @@ from itertools import count as _counter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.executors.base import FaultHook, SweepExecutor
-from repro.sim.runner import SweepJob, WorkerOutcome, _simulate
+from repro.sim.runner import SweepJob, WorkerOutcome, run_attempt
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Worker exit codes (the ``--respawn`` supervisor keys off these).
 EXIT_CLEAN = 0          # shutdown message / coordinator gone: do not respawn
@@ -191,19 +194,12 @@ class Coordinator:
             return len(self._workers)
 
     def submit_task(
-        self,
-        job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> _RemoteTask:
         with self._cond:
             if self._closed:
                 raise RuntimeError("coordinator is closed")
-            task = _RemoteTask(
-                next(self._task_ids), (job, cache_dir, use_cache, attempt, fault)
-            )
+            task = _RemoteTask(next(self._task_ids), (job, attempt, fault))
             self._live[task.task_id] = task
             self._queue.append(task)
             self._cond.notify_all()
@@ -292,7 +288,8 @@ class Coordinator:
             try:
                 hello = _recv_msg(conn)
                 if hello[0] != "hello" or hello[1] != PROTOCOL_VERSION:
-                    raise ProtocolError(f"bad hello {hello[:2]!r}")
+                    _send_msg(conn, ("reject", PROTOCOL_VERSION))
+                    return
             except (OSError, EOFError, pickle.UnpicklingError, ProtocolError,
                     IndexError):
                 return
@@ -413,16 +410,9 @@ class RemoteExecutor(SweepExecutor):
         return max(1, min(width, connected))
 
     def submit(
-        self,
-        job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
-        attempt: int,
-        fault: FaultHook,
+        self, job: SweepJob, attempt: int, fault: FaultHook
     ) -> "Future[WorkerOutcome]":
-        return self.coordinator.submit_task(
-            job, cache_dir, use_cache, attempt, fault
-        ).future
+        return self.coordinator.submit_task(job, attempt, fault).future
 
     def recycle(self, reason: str) -> None:
         self.coordinator.recycle(reason)
@@ -433,8 +423,6 @@ class RemoteExecutor(SweepExecutor):
     def run_isolated(
         self,
         job: SweepJob,
-        cache_dir: str,
-        use_cache: bool,
         attempt: int,
         fault: FaultHook,
         timeout: Optional[float],
@@ -442,7 +430,7 @@ class RemoteExecutor(SweepExecutor):
         # The strongest isolation the backend offers: the task runs alone
         # on whichever worker takes it; a disconnect during it raises
         # BrokenProcessPool here, naming the job the crash culprit.
-        task = self.coordinator.submit_task(job, cache_dir, use_cache, attempt, fault)
+        task = self.coordinator.submit_task(job, attempt, fault)
         try:
             return task.future.result(timeout=timeout)
         except BaseException:
@@ -472,15 +460,13 @@ def connect_with_retry(
 
 def worker_main(
     address: str,
-    cache_dir: Optional[str] = None,
     retry_s: float = 15.0,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
     """The ``repro worker --connect`` pull loop; returns an exit code.
 
-    Runs jobs with the exact pool-worker body (:func:`_simulate`), against
-    the coordinator-sent cache dir unless ``cache_dir`` overrides it (a
-    host mounting the shared store at a different path). An injected
+    Runs jobs with the pool workers' :func:`run_attempt` and sends each
+    result back; the worker never touches a result store. An injected
     ``crash`` fault kills this process mid-job — the coordinator sees the
     disconnect and raises ``BrokenProcessPool``, same as a pool crash.
     """
@@ -512,13 +498,18 @@ def worker_main(
             if message[0] == "shutdown":
                 _log("[worker] shutdown requested; exiting")
                 return EXIT_CLEAN
-            if message[0] != "job" or len(message) != 7:
+            if message[0] == "reject":
+                _log(
+                    f"[worker] coordinator rejected protocol "
+                    f"{PROTOCOL_VERSION} (it speaks {message[1:]!r}); exiting"
+                )
+                return EXIT_PROTOCOL
+            if message[0] != "job" or len(message) != 5:
                 _log(f"[worker] unexpected message {message[:1]!r}")
                 return EXIT_PROTOCOL
-            _kind, task_id, job, job_cache_dir, use_cache, attempt, fault = message
-            effective_cache_dir = cache_dir if cache_dir is not None else job_cache_dir
+            _kind, task_id, job, attempt, fault = message
             try:
-                outcome = _simulate(job, effective_cache_dir, use_cache, attempt, fault)
+                outcome = run_attempt(job, attempt, fault)
                 reply: Tuple = ("ok", task_id, outcome)
             except BaseException as error:
                 reply = ("err", task_id, error)
@@ -540,7 +531,6 @@ def worker_main(
 
 def supervise_worker(
     address: str,
-    cache_dir: Optional[str] = None,
     retry_s: float = 15.0,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
@@ -552,8 +542,6 @@ def supervise_worker(
         sys.executable, "-m", "repro", "worker",
         "--connect", address, "--retry-s", str(retry_s),
     ]
-    if cache_dir is not None:
-        command += ["--cache-dir", cache_dir]
     while True:
         returncode = subprocess.call(command)
         if returncode in (EXIT_CLEAN, EXIT_CONNECT_FAILED, EXIT_PROTOCOL):
@@ -575,12 +563,10 @@ class WorkerFleet:
         self,
         address: str,
         count: int = 2,
-        cache_dir: Optional[str] = None,
         respawn: bool = True,
     ) -> None:
         self.address = address
         self.count = count
-        self.cache_dir = cache_dir
         self.respawn = respawn
         self._procs: List[subprocess.Popen] = []
 
@@ -593,8 +579,6 @@ class WorkerFleet:
         command = [sys.executable, "-m", "repro", "worker", "--connect", self.address]
         if self.respawn:
             command.append("--respawn")
-        if self.cache_dir is not None:
-            command += ["--cache-dir", self.cache_dir]
         for _ in range(self.count):
             self._procs.append(
                 subprocess.Popen(

@@ -9,11 +9,12 @@ such a grid:
 - **Deduplicated**: jobs are identified by the experiment cache key
   (:func:`repro.experiments.common.cache_key`); duplicate submissions and
   already-cached results are never simulated twice.
-- **Parallel**: unique, uncached jobs fan across a
-  ``concurrent.futures.ProcessPoolExecutor``. Worker count comes from the
-  ``jobs`` argument, else the ``REPRO_JOBS`` environment variable, else
-  ``os.cpu_count()``. At one worker the runner degrades to a plain
-  in-process loop, so ``REPRO_JOBS=1`` keeps pdb/coverage/profiling usable.
+- **Parallel**: unique, uncached jobs fan across an executor backend
+  (:mod:`repro.sim.executors`): a local process pool by default, whose
+  width comes from the ``jobs`` argument, else the ``REPRO_JOBS``
+  environment variable, else ``os.cpu_count()``. A pool asked for one
+  worker, or left with one pending job, runs the job inline instead, so
+  ``REPRO_JOBS=1`` keeps pdb/coverage/profiling usable.
 - **Deterministic**: the simulator itself is deterministic, workers share
   nothing mutable, and results are reassembled by submission index — a
   parallel sweep returns byte-identical results to a serial one, in
@@ -45,10 +46,13 @@ process right before the simulation — or set the ``REPRO_FAULT_SPEC``
 environment variable (see :func:`parse_fault_spec`) to inject exceptions,
 hangs, and hard crashes deterministically.
 
-The runner warms both the in-process and on-disk caches, so experiment
-harnesses can enumerate their grid, push it through the runner, and then
-assemble rows with ordinary :func:`repro.experiments.common.run_app` calls
-that all hit the cache.
+Caching: the runner's process is the only reader and writer of the
+result cache (:data:`repro.sim.store.RESULTS`). It probes every unique
+job once before the sweep and stores every simulated result as it
+arrives; executors' workers only simulate. Experiment harnesses can
+therefore enumerate their grid, push it through the runner, and then
+assemble rows with ordinary :func:`repro.experiments.common.run_app`
+calls that all hit the cache.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
@@ -183,8 +187,8 @@ class SweepAbort(RuntimeError):
     """A job failed terminally and the runner was not ``keep_going``.
 
     Carries the offending :class:`JobFailure` and the partial
-    :class:`SweepReport`; everything completed before the abort has
-    already been absorbed into the in-process and on-disk caches.
+    :class:`SweepReport`; everything completed before the abort is
+    already in the result cache.
     """
 
     def __init__(self, failure: JobFailure, report: "SweepReport") -> None:
@@ -215,10 +219,12 @@ class SweepReport:
     profiled: bool = False
     #: Cross-worker cProfile top-N (empty unless ``profiled``).
     hotspots: List[Hotspot] = field(default_factory=list)
-    #: Disk-store counter increments during this sweep (hits, misses,
-    #: stores, quarantined, ...; see :mod:`repro.sim.store`). Counted in
-    #: the runner's process only — pool/remote workers keep their own
-    #: process-wide counters — and empty when no disk cache is configured.
+    #: Result-cache counter increments during this sweep (disk hits,
+    #: misses, stores, quarantined, ..., plus the ``memory_*`` counters of
+    #: the in-memory front; see :mod:`repro.sim.store`). The runner's
+    #: process does every probe and write, so on any executor ``stores``
+    #: equals the entries written and a cold store shows one miss per
+    #: simulated job. Empty when no disk cache is configured.
     store: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -580,9 +586,9 @@ def _normalize(job: JobLike) -> SweepJob:
 class WorkerOutcome:
     """Everything a successful simulation attempt reports back.
 
-    Picklable: crosses the process-pool boundary on the parallel path and
-    is built in-process on the serial path, so both paths feed identical
-    telemetry into :class:`JobTiming` / :class:`SweepReport`.
+    Picklable: crosses the process-pool and remote-worker boundaries, and
+    is built in-process by the serial executor, so every backend feeds
+    identical telemetry into :class:`JobTiming` / :class:`SweepReport`.
     """
 
     result: SimResult
@@ -591,102 +597,35 @@ class WorkerOutcome:
     hotspots: Optional[List[Hotspot]] = None
 
 
-def _simulate(
+def run_attempt(
     job: SweepJob,
-    cache_dir: str,
-    use_cache: bool = True,
     attempt: int = 1,
     fault: Optional[Callable[[SweepJob, int], None]] = None,
 ) -> WorkerOutcome:
-    """Worker-side body: simulate one job, honouring the disk cache.
+    """One simulation attempt, wherever an executor runs it: the fault
+    hook, the simulation (profiled when ``REPRO_PROFILE`` is set), and
+    its timing. Never touches the result cache — the runner's process
+    probes and stores."""
 
-    Runs in a separate process under the pool executor. ``cache_dir`` and
-    ``use_cache`` are passed explicitly rather than relying on a forked
-    copy of module state: under the fork start method a worker inherits
-    the parent's populated in-process ``_CACHE``, which must never be
-    consulted when the runner was built with ``use_cache=False`` (and is
-    stale by definition otherwise — the disk cache is authoritative
-    across processes).
-    """
+    from repro.experiments.common import simulate
 
-    from repro.experiments import common
-
-    common._CACHE_DIR = cache_dir
-    if not use_cache:
-        common._CACHE = {}
     started = time.perf_counter()
     if fault is not None:
         fault(job, attempt)
     top_n = profile_top()
+    hotspots: Optional[List[Hotspot]] = None
     if top_n:
         with HotspotProfiler(top_n) as profiler:
-            result = common.run_app(
-                job.app_name, job.config, job.scale, use_cache=use_cache
-            )
+            result = simulate(job.app_name, job.config, job.scale)
         hotspots = profiler.hotspots()
     else:
-        result = common.run_app(
-            job.app_name, job.config, job.scale, use_cache=use_cache
-        )
-        hotspots = None
+        result = simulate(job.app_name, job.config, job.scale)
     return WorkerOutcome(
         result=result,
         duration_s=time.perf_counter() - started,
         worker_pid=os.getpid(),
         hotspots=hotspots,
     )
-
-
-class PoolHost:
-    """Owns the :class:`ProcessPoolExecutor` lifecycle for a parallel sweep.
-
-    :class:`SweepRunner` historically created one private pool per
-    ``run()`` and tore it down afterwards. The service front-end
-    (:mod:`repro.service`) instead batches many requests onto one
-    long-lived pool — so the pool lifecycle is lifted into this
-    executor-facing contract:
-
-    - :meth:`acquire` — lease a pool for one sweep. Returns the pool and
-      the effective worker count the runner may keep in flight (a shared
-      host may cap below the runner's ask).
-    - :meth:`recycle` — the leased pool broke (worker crash, hung job);
-      replace it with a fresh one. The old pool must be abandoned with
-      ``shutdown(wait=False, cancel_futures=True)``.
-    - :meth:`release` — the sweep is done with the pool. ``dirty=True``
-      means futures may still be in flight (the sweep aborted mid-run);
-      a reusing host must not hand that pool to the next sweep.
-
-    The default :class:`PrivatePoolHost` reproduces the historical
-    behaviour exactly; :class:`repro.service.executor.SharedProcessPool`
-    keeps the pool across leases and evicts it after an idle period.
-    """
-
-    def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, int]:
-        raise NotImplementedError
-
-    def recycle(
-        self, pool: ProcessPoolExecutor, workers: int, reason: str
-    ) -> ProcessPoolExecutor:
-        raise NotImplementedError
-
-    def release(self, pool: ProcessPoolExecutor, dirty: bool = False) -> None:
-        raise NotImplementedError
-
-
-class PrivatePoolHost(PoolHost):
-    """One fresh pool per sweep, torn down when the sweep finishes."""
-
-    def acquire(self, workers: int) -> Tuple[ProcessPoolExecutor, int]:
-        return ProcessPoolExecutor(max_workers=workers), workers
-
-    def recycle(
-        self, pool: ProcessPoolExecutor, workers: int, reason: str
-    ) -> ProcessPoolExecutor:
-        pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=workers)
-
-    def release(self, pool: ProcessPoolExecutor, dirty: bool = False) -> None:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -705,17 +644,17 @@ class SweepRunner:
     ----------
     jobs:
         Worker count. ``None`` defers to ``REPRO_JOBS`` /
-        ``os.cpu_count()``; ``1`` forces the serial in-process path.
+        ``os.cpu_count()``; ``1`` runs every job inline.
     progress:
         Optional callable receiving human-readable progress lines
         (e.g. ``print``). ``None`` silences progress output.
     use_cache:
         When ``False`` every submitted job is re-simulated (duplicates are
-        still collapsed within the one call).
+        still collapsed within the one call) and nothing is stored.
     timeout:
         Per-job wall-clock budget in seconds (``None`` = unbounded;
-        default from ``REPRO_TIMEOUT``). Enforced on the parallel path
-        only — a single in-process simulation cannot be preempted.
+        default from ``REPRO_TIMEOUT``). Enforced on process-backed
+        executors only — an inline simulation cannot be preempted.
     max_retries:
         Extra attempts granted to a failing job beyond the first
         (default from ``REPRO_MAX_RETRIES``, else 2).
@@ -731,20 +670,17 @@ class SweepRunner:
         Optional picklable fault-injection hook ``fault(job, attempt)``
         run in the executing process before each simulation attempt.
         Defaults to ``REPRO_FAULT_SPEC`` (parsed) when set.
-    pool_host:
-        Optional :class:`PoolHost` owning the process pool's lifecycle.
-        ``None`` (default) gives every sweep a private pool, torn down
-        when the sweep finishes; the service passes a shared host so
-        concurrent requests batch onto one long-lived pool. Only
-        meaningful with the ``"pool"`` executor.
     executor:
         Which backend executes attempts (see :mod:`repro.sim.executors`):
-        ``"pool"`` (default, from ``REPRO_EXECUTOR``) fans across a local
-        process pool, degrading to the in-process serial path at one
-        worker; ``"serial"`` forces the in-process path regardless of
-        worker count; or a :class:`~repro.sim.executors.base.SweepExecutor`
-        *instance* (the only way to select ``"remote"``, which needs a
-        live coordinator — ``repro sweep --executor remote`` builds one).
+        ``"pool"`` (default, from ``REPRO_EXECUTOR``) builds a local
+        :class:`~repro.sim.executors.local.PoolExecutor` for the sweep and
+        shuts it down afterwards; ``"serial"`` runs every attempt inline;
+        or a :class:`~repro.sim.executors.base.SweepExecutor` *instance*
+        the caller owns — a long-lived ``PoolExecutor`` (the service's),
+        or the only way to select ``"remote"``, which needs a live
+        coordinator (``repro sweep --executor remote`` builds one). A
+        local pool, by name or instance, runs inline when the sweep would
+        use only one worker (``jobs=1`` or one pending job).
     """
 
     def __init__(
@@ -757,7 +693,6 @@ class SweepRunner:
         retry_backoff_s: Optional[float] = None,
         keep_going: Optional[bool] = None,
         fault: Optional[Callable[[SweepJob, int], None]] = None,
-        pool_host: Optional[PoolHost] = None,
         executor: Union[str, "SweepExecutor", None] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
@@ -788,7 +723,6 @@ class SweepRunner:
             if spec:
                 fault = parse_fault_spec(spec)
         self.fault = fault
-        self.pool_host = pool_host
         if executor is None:
             executor = os.environ.get(EXECUTOR_ENV, "").strip() or "pool"
         if isinstance(executor, str):
@@ -806,6 +740,7 @@ class SweepRunner:
         self.executor = executor
         self.last_report: Optional[SweepReport] = None
         self._hotspot_groups: List[List[Hotspot]] = []
+        self._cache_root = ""
 
     def _log(self, message: str) -> None:
         if self.progress is not None:
@@ -831,13 +766,14 @@ class SweepRunner:
 
         started = time.perf_counter()
         store_before = result_store.counters_snapshot()
+        self._cache_root = common._CACHE_DIR
         normalized = [_normalize(job) for job in jobs]
         report = SweepReport(
             jobs_submitted=len(normalized),
             workers=self.workers,
             profiled=bool(profile_top()),
         )
-        self._hotspot_groups: List[List[Hotspot]] = []
+        self._hotspot_groups = []
 
         # Deduplicate by cache key, keeping first-submission order.
         unique: Dict[str, SweepJob] = {}
@@ -852,7 +788,11 @@ class SweepRunner:
         resolved: Dict[str, Optional[SimResult]] = {}
         pending: List[SweepJob] = []
         for key, job in unique.items():
-            cached = self._probe_cache(common, key) if self.use_cache else None
+            cached = (
+                result_store.RESULTS.get(key, self._cache_root)
+                if self.use_cache
+                else None
+            )
             if cached is not None:
                 resolved[key] = cached
                 report.cache_hits += 1
@@ -877,15 +817,16 @@ class SweepRunner:
                     f"({report.cache_hits} cache hit(s)) on "
                     f"{min(self.workers, len(pending))} worker(s)"
                 )
-                executor = self._resolve_executor(len(pending))
-                if executor is None:
-                    self._run_serial(common, pending, resolved, report)
-                else:
-                    self._run_parallel(common, pending, resolved, report, executor)
+                executor = self._executor_for(len(pending))
+                try:
+                    self._collect(pending, resolved, report, executor)
+                finally:
+                    if executor is not self.executor:
+                        executor.shutdown()
         finally:
             report.jobs_simulated = len(pending)
             report.wall_clock_s = time.perf_counter() - started
-            if common._CACHE_DIR:
+            if self._cache_root:
                 report.store = result_store.counters_delta(store_before)
             if self._hotspot_groups:
                 report.hotspots = merge_hotspots(
@@ -897,53 +838,22 @@ class SweepRunner:
             self._log(report.summary())
         return [resolved[key] for key in keys], report
 
-    def _resolve_executor(self, pending_count: int):
-        """The executor backend for this run, or ``None`` for the
-        in-process serial path.
+    def _executor_for(self, pending_count: int) -> "SweepExecutor":
+        """The backend for this run. ``"pool"`` builds a pool sized to the
+        work, which the run shuts down afterwards; a local pool that would
+        use one worker runs inline instead."""
 
-        ``"serial"`` always runs in-process; ``"pool"`` degrades to the
-        in-process path when only one worker (or one job) would be used —
-        the historical behaviour that keeps ``REPRO_JOBS=1`` free of any
-        pool; an explicit :class:`SweepExecutor` instance is always
-        driven through the parallel collection loop.
-        """
+        from repro.sim.executors.local import PoolExecutor, SerialExecutor
 
-        if self.executor == "serial":
-            return None
+        width = min(self.workers, pending_count)
+        local_pool = self.executor == "pool" or isinstance(
+            self.executor, PoolExecutor
+        )
+        if self.executor == "serial" or (local_pool and width == 1):
+            return SerialExecutor()
         if self.executor == "pool":
-            if self.workers == 1 or pending_count == 1:
-                return None
-            from repro.sim.executors.local import PoolExecutor
-
-            return PoolExecutor(self.pool_host)
+            return PoolExecutor(max_workers=width)
         return self.executor
-
-    # -- cache plumbing ----------------------------------------------------
-
-    @staticmethod
-    def _probe_cache(common, key: str) -> Optional[SimResult]:
-        cached = common._CACHE.get(key)
-        if cached is not None:
-            return cached
-        cached = common._load_disk(key)
-        if cached is not None:
-            common._CACHE[key] = cached
-        return cached
-
-    def _absorb(self, common, job: SweepJob, key: str, result: SimResult) -> None:
-        """Fold a finished result into the parent-process caches."""
-
-        if not self.use_cache:
-            return
-        if key not in common._CACHE:
-            common._CACHE[key] = result
-        # Serial runs store to disk inside run_app; a pool worker stores
-        # from its own process. Either way the file exists by now unless
-        # caching is disabled or the worker raced a quarantine — storing
-        # again is an atomic, idempotent overwrite.
-        path = common._disk_path(key)
-        if path is not None and not os.path.exists(path):
-            common._store_disk(key, result)
 
     # -- failure plumbing --------------------------------------------------
 
@@ -956,7 +866,6 @@ class SweepRunner:
 
     def _record_success(
         self,
-        common,
         report,
         resolved,
         job: SweepJob,
@@ -964,8 +873,11 @@ class SweepRunner:
         outcome: WorkerOutcome,
         attempts: int,
     ) -> None:
+        from repro.sim.store import RESULTS
+
         resolved[key] = outcome.result
-        self._absorb(common, job, key, outcome.result)
+        if self.use_cache:
+            RESULTS.put(key, outcome.result, self._cache_root)
         if outcome.hotspots:
             self._hotspot_groups.append(outcome.hotspots)
         report.timings.append(
@@ -1006,67 +918,16 @@ class SweepRunner:
         if not self.keep_going:
             raise SweepAbort(failure, report)
 
-    # -- execution strategies ----------------------------------------------
+    # -- the collection loop -----------------------------------------------
 
-    def _run_serial(self, common, pending, resolved, report) -> None:
-        total = len(pending)
-        for index, job in enumerate(pending, start=1):
-            key = job.key()
-            attempt = 1
-            while True:
-                job_started = time.perf_counter()
-                try:
-                    if self.fault is not None:
-                        self.fault(job, attempt)
-                    top_n = profile_top()
-                    if top_n:
-                        with HotspotProfiler(top_n) as profiler:
-                            result = common.run_app(
-                                job.app_name, job.config, job.scale,
-                                use_cache=self.use_cache,
-                            )
-                        hotspots: Optional[List[Hotspot]] = profiler.hotspots()
-                    else:
-                        result = common.run_app(
-                            job.app_name, job.config, job.scale,
-                            use_cache=self.use_cache,
-                        )
-                        hotspots = None
-                except Exception as error:
-                    if attempt <= self.max_retries:
-                        report.retries += 1
-                        self._log(
-                            f"[sweep] retrying {job.app_name} "
-                            f"{job.config.scheme.value} "
-                            f"(attempt {attempt} failed: {error!r})"
-                        )
-                        time.sleep(self._backoff_delay(attempt))
-                        attempt += 1
-                        continue
-                    self._record_failure(
-                        report, resolved, job, key, attempt, error, "exception"
-                    )
-                    break
-                duration = time.perf_counter() - job_started
-                outcome = WorkerOutcome(
-                    result=result,
-                    duration_s=duration,
-                    worker_pid=os.getpid(),
-                    hotspots=hotspots,
-                )
-                self._record_success(
-                    common, report, resolved, job, key, outcome, attempt
-                )
-                self._log(
-                    f"[sweep] {index}/{total} {job.app_name} "
-                    f"{job.config.scheme.value} {duration:.2f}s"
-                )
-                break
+    def _collect(self, pending, resolved, report, executor) -> None:
+        """Drive ``executor`` until every pending job succeeded or failed
+        terminally: submission up to the executor's width, retries with
+        backoff, per-job timeouts, executor recycling after crashes, and
+        the crash-attribution pass."""
 
-    def _run_parallel(self, common, pending, resolved, report, executor) -> None:
         total = len(pending)
         done_count = 0
-        cache_dir = common._CACHE_DIR if self.use_cache else ""
         queue: deque = deque(_Pending(job) for job in pending)
         suspects: List[_Pending] = []
         in_flight: Dict[Future, _Pending] = {}
@@ -1075,13 +936,7 @@ class SweepRunner:
 
         def submit(entry: _Pending) -> bool:
             try:
-                future = executor.submit(
-                    entry.job,
-                    cache_dir,
-                    self.use_cache,
-                    entry.attempt,
-                    self.fault,
-                )
+                future = executor.submit(entry.job, entry.attempt, self.fault)
             except (BrokenProcessPool, RuntimeError):
                 return False
             in_flight[future] = entry
@@ -1197,8 +1052,7 @@ class SweepRunner:
                             )
                     else:
                         self._record_success(
-                            common, report, resolved, job, key, outcome,
-                            entry.attempt,
+                            report, resolved, job, key, outcome, entry.attempt
                         )
                         done_count += 1
                         self._log(
@@ -1256,18 +1110,14 @@ class SweepRunner:
                 # Still inside the try so the executor (and, for the
                 # remote backend, its coordinator) is alive for the
                 # isolation pass.
-                self._run_isolated(
-                    common, suspects, resolved, report, cache_dir, executor
-                )
+                self._run_isolated(suspects, resolved, report, executor)
         finally:
             # dirty: an exception (e.g. SweepAbort) left futures in
             # flight — a backend that reuses contexts must not lease
             # that context again.
             executor.close(dirty=bool(in_flight))
 
-    def _run_isolated(
-        self, common, suspects, resolved, report, cache_dir, executor
-    ) -> None:
+    def _run_isolated(self, suspects, resolved, report, executor) -> None:
         """Crash-attribution fallback: one job at a time, isolated.
 
         Jobs land here when their retries were exhausted by executor
@@ -1287,8 +1137,7 @@ class SweepRunner:
             )
             try:
                 outcome = executor.run_isolated(
-                    job, cache_dir, self.use_cache, entry.attempt, self.fault,
-                    self.timeout,
+                    job, entry.attempt, self.fault, self.timeout
                 )
             except BrokenProcessPool as error:
                 self._record_failure(
@@ -1304,7 +1153,7 @@ class SweepRunner:
                 )
             else:
                 self._record_success(
-                    common, report, resolved, job, key, outcome, entry.attempt
+                    report, resolved, job, key, outcome, entry.attempt
                 )
                 self._log(
                     f"[sweep] isolated {job.app_name} "
@@ -1325,8 +1174,8 @@ def run_sweep(
 ) -> List[Optional[SimResult]]:
     """Convenience wrapper: one-shot :class:`SweepRunner` execution.
 
-    Experiment harnesses call this to warm the caches for an enumerated
-    grid before assembling their rows; fault-tolerance knobs default to
+    Experiment harnesses call this to warm the result cache for an
+    enumerated grid before assembling their rows; fault-tolerance knobs default to
     the ``REPRO_TIMEOUT`` / ``REPRO_MAX_RETRIES`` / ``REPRO_KEEP_GOING``
     environment variables.
     """

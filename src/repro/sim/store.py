@@ -30,6 +30,14 @@ Durability and concurrency, which many writers on many hosts require:
   set per process) are surfaced by ``SweepReport.store``, ``/healthz``
   and ``repro cache stats``.
 
+:data:`RESULTS` is the one cache API in front of the store: a bounded
+in-memory LRU (:data:`MEMORY_ENTRIES`) that falls through to an optional
+:class:`ResultStore`. Only the process that owns a sweep probes and
+writes it — ``run_app`` and :class:`~repro.sim.runner.SweepRunner`;
+executor workers only simulate. The LRU counts its own ``memory_hits``,
+``memory_misses`` and ``memory_evictions``, so ``hits``/``misses`` keep
+meaning disk-store lookups.
+
 ``repro cache {stats,gc,verify}`` exposes :meth:`ResultStore.stats`,
 :meth:`ResultStore.gc` (orphaned temp files, quarantined debris, stale
 schemas, optional age expiry) and :meth:`ResultStore.verify` (full scan
@@ -49,13 +57,25 @@ import os
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from itertools import count as _counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 _LOG = logging.getLogger("repro.sim.store")
 
-#: Counter names tracked per process (all store roots combined).
-COUNTER_NAMES = ("hits", "misses", "stale", "stores", "quarantined", "evicted")
+#: Counter names tracked per process (all store roots combined). The
+#: ``memory_*`` ones count :data:`RESULTS`' in-memory front; the rest count
+#: disk-store operations.
+COUNTER_NAMES = (
+    "hits", "misses", "stale", "stores", "quarantined", "evicted",
+    "memory_hits", "memory_misses", "memory_evictions",
+)
+
+#: Most results :data:`RESULTS` keeps in memory. Every ``sweep_jobs*()``
+#: grid in :mod:`repro.experiments` together has 395 unique keys, so
+#: ``repro report`` without a disk store never re-simulates; a pickled
+#: result is 3.5-15 KB.
+MEMORY_ENTRIES = 512
 
 _COUNTER_LOCK = threading.Lock()
 _COUNTERS: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
@@ -449,3 +469,65 @@ class ResultStore:
         if fingerprints:
             report["fingerprints"] = sorted(prints)
         return report
+
+
+class ResultCache:
+    """A bounded in-memory LRU in front of the optional disk store.
+
+    ``root`` names the disk store on every call (``""``: memory only), so
+    the store directory stays the caller's setting
+    (``repro.experiments.common._CACHE_DIR``). Results found on disk are
+    remembered in memory; :meth:`put` writes both.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._memory: "OrderedDict[str, object]" = OrderedDict()
+
+    def get(self, key: str, root: str = ""):
+        """The cached result for ``key``, or ``None``: memory first, then
+        the disk store under ``root`` (one disk probe per memory miss)."""
+
+        with self._lock:
+            result = self._memory.get(key)
+            if result is not None:
+                self._memory.move_to_end(key)
+        _count("memory_hits" if result is not None else "memory_misses")
+        if result is not None or not root:
+            return result
+        result = ResultStore(root).load(key)
+        if result is not None:
+            self._remember(key, result)
+        return result
+
+    def put(self, key: str, result, root: str = "") -> None:
+        """Remember ``result`` and, with a ``root``, publish it on disk."""
+
+        self._remember(key, result)
+        if root:
+            ResultStore(root).store(key, result)
+
+    def _remember(self, key: str, result) -> None:
+        evicted = 0
+        with self._lock:
+            self._memory[key] = result
+            self._memory.move_to_end(key)
+            while len(self._memory) > MEMORY_ENTRIES:
+                self._memory.popitem(last=False)
+                evicted += 1
+        if evicted:
+            _count("memory_evictions", evicted)
+
+    def clear(self) -> None:
+        """Forget every in-memory result (the disk store is untouched)."""
+
+        with self._lock:
+            self._memory.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._memory)
+
+
+#: The process's one result cache.
+RESULTS = ResultCache()

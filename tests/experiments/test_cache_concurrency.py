@@ -16,6 +16,7 @@ import pytest
 
 from repro.config import table1_config
 from repro.experiments import common
+from repro.sim.store import RESULTS, ResultStore
 
 SCALE = 0.05
 APP = "SRAD"
@@ -150,12 +151,13 @@ class TestConcurrentWriters:
     def test_concurrent_writers_leave_single_valid_file(self, tmp_path):
         result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
         key = common.cache_key(APP, table1_config(), SCALE)
+        store = ResultStore(common._CACHE_DIR)
         errors = []
 
         def writer():
             try:
                 for _ in range(25):
-                    common._store_disk(key, result)
+                    store.store(key, result)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -169,7 +171,7 @@ class TestConcurrentWriters:
         assert len(cache_files(tmp_path)) == 1
         # No orphaned temp files left behind by the atomic-replace dance.
         assert not _walk_suffix(tmp_path, ".tmp")
-        loaded = common._load_disk(key)
+        loaded = store.load(key)
         assert loaded is not None
         assert common.result_fingerprint(loaded) == common.result_fingerprint(result)
 
@@ -178,13 +180,14 @@ class TestConcurrentWriters:
 
         result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
         key = common.cache_key(APP, table1_config(), SCALE)
-        common._store_disk(key, result)
+        store = ResultStore(common._CACHE_DIR)
+        store.store(key, result)
         stop = threading.Event()
         bad = []
 
         def reader():
             while not stop.is_set():
-                loaded = common._load_disk(key)
+                loaded = store.load(key)
                 if loaded is None or loaded.cycles != result.cycles:
                     bad.append(loaded)
                     return
@@ -192,14 +195,18 @@ class TestConcurrentWriters:
         thread = threading.Thread(target=reader)
         thread.start()
         for _ in range(200):
-            common._store_disk(key, result)
+            store.store(key, result)
         stop.set()
         thread.join()
         assert not bad
 
-    def test_no_disk_cache_dir_is_noop(self, monkeypatch):
+    def test_no_disk_cache_dir_is_noop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(common, "_CACHE_DIR", "")
+        monkeypatch.chdir(tmp_path)
         result = common.run_app(APP, table1_config(), SCALE, use_cache=False)
         key = common.cache_key(APP, table1_config(), SCALE)
-        common._store_disk(key, result)  # must not raise or create anything
-        assert common._load_disk(key) is None
+        # Must not raise or create anything: the result lives in memory only.
+        RESULTS.put(key, result, common._CACHE_DIR)
+        assert not cache_files(tmp_path)
+        RESULTS.clear()
+        assert RESULTS.get(key, common._CACHE_DIR) is None

@@ -7,6 +7,7 @@ import pytest
 from repro.config import table1_config
 from repro.experiments import common
 from repro.experiments.report import ALL_EXPERIMENTS
+from repro.sim.store import RESULTS
 
 
 class TestDiskCache:
@@ -72,7 +73,7 @@ class TestCacheKeyNormalization:
         common.clear_cache()
         cfg = table1_config()
         sentinel = SimResult(app_name="SRAD", scheme="baseline", cycles=7)
-        common._CACHE[common.cache_key("SRAD", cfg, 3.0)] = sentinel
+        RESULTS.put(common.cache_key("SRAD", cfg, 3.0), sentinel)
 
         def boom(self, app):
             raise AssertionError("cache miss: re-simulated a warmed scale")

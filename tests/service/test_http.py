@@ -1,13 +1,15 @@
 """End-to-end HTTP API tests: BackgroundServer + ServiceClient."""
 
 import json
+import os
+import threading
 import urllib.request
 
 import pytest
 
 from repro.experiments.common import CACHE_SCHEMA, result_fingerprint
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import BackgroundServer
+from repro.service.http import BackgroundServer, ServiceServer
 from repro.service.jobs import expand_spec, validate_spec
 from repro.service.manager import JobManager
 from repro.sim.runner import REPORT_SCHEMA, SweepRunner
@@ -216,6 +218,38 @@ class TestEvents:
         assert events[-1] == {
             "type": "state", "state": "cancelled", "seq": -1, "synthetic": True,
         }
+
+    def test_stream_ends_while_a_socket_duplicate_is_held(self, idle, monkeypatch):
+        # Regression: pool workers forked while a stream is open inherit
+        # its server-side socket. A plain close() then sends no FIN, and
+        # the client hung after the terminal event until those workers
+        # exited; the server must half-close the stream instead.
+        _, _, client = idle
+        held = []
+        stream_events = ServiceServer._stream_events
+
+        async def stream_with_duplicate(self, job_id, writer):
+            held.append(os.dup(writer.get_extra_info("socket").fileno()))
+            await stream_events(self, job_id, writer)
+
+        monkeypatch.setattr(ServiceServer, "_stream_events", stream_with_duplicate)
+        job_id = client.submit(SPEC)["job_id"]
+        client.cancel(job_id)
+        events = []
+        reader = threading.Thread(
+            target=lambda: events.extend(client.events(job_id)), daemon=True
+        )
+        reader.start()
+        try:
+            reader.join(timeout=10.0)
+            assert not reader.is_alive(), "stream stayed open after its terminal event"
+        finally:
+            for fd in held:
+                os.close(fd)
+            reader.join(timeout=10.0)
+        assert held, "the stream never reached the server"
+        assert events[-1]["state"] == "cancelled"
+        assert not events[-1].get("synthetic")
 
     def test_failure_event_streamed(self, live, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SPEC", "GUPS:*:exc")

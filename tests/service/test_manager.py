@@ -12,6 +12,7 @@ from repro.service.manager import (
     JobManager,
     QUEUED,
 )
+from repro.sim import store
 from repro.sim.runner import SweepRunner
 
 SCALE = 0.05
@@ -165,6 +166,32 @@ class TestBatchingAndPool:
             fresh, _ = manager.submit(tiny_spec("MVT", "BICG"))
             assert manager.wait(fresh.job_id, timeout=300) == DONE
             assert manager.pool.stats()["pools_created"] == 2
+
+
+class TestBoundedMemory:
+    def test_memory_front_bounded_and_evictions_served_from_disk(self, monkeypatch):
+        # More distinct jobs than the in-memory bound, one spec each.
+        monkeypatch.setattr(store, "MEMORY_ENTRIES", 2)
+        apps = ("SRAD", "ATAX", "MVT", "BICG", "GEV")
+        before = store.counters_snapshot()
+        with JobManager(workers=1) as manager:
+            for app in apps:
+                record, _ = manager.submit(tiny_spec(app))
+                assert manager.wait(record.job_id, timeout=180) == DONE
+                assert len(store.RESULTS) <= store.MEMORY_ENTRIES
+            evictions = store.counters_delta(before)["memory_evictions"]
+            assert evictions >= len(apps) - store.MEMORY_ENTRIES
+
+            # The evicted results come back from the disk store.
+            again, deduplicated = manager.submit(tiny_spec(*apps))
+            assert not deduplicated
+            assert manager.wait(again.job_id, timeout=180) == DONE
+            assert again.report.jobs_simulated == 0
+            assert again.report.cache_hits == len(apps)
+            assert len(store.RESULTS) <= store.MEMORY_ENTRIES
+        delta = store.counters_delta(before)
+        assert delta["hits"] >= len(apps) - store.MEMORY_ENTRIES
+        assert delta["stores"] == len(apps)
 
 
 class TestFailures:

@@ -17,6 +17,8 @@ exercised without process-start latency.
 """
 
 import contextlib
+import glob
+import os
 import socket
 import threading
 import time
@@ -39,6 +41,7 @@ from repro.sim.executors import (
 from repro.sim.executors.remote import (
     EXIT_CLEAN,
     EXIT_CONNECT_FAILED,
+    EXIT_PROTOCOL,
     PROTOCOL_VERSION,
     _recv_msg,
     _send_msg,
@@ -124,23 +127,47 @@ class TestExecutorSelection:
     def test_default_is_pool(self):
         assert SweepRunner().executor == "pool"
 
-    def test_serial_name_and_one_worker_pool_bypass_executors(self):
-        # The historical fast paths survive: the "serial" selector and a
-        # one-worker pool both run the legacy in-process loop directly.
-        assert SweepRunner(executor="serial")._resolve_executor(5) is None
-        assert SweepRunner(jobs=1)._resolve_executor(5) is None
-        assert SweepRunner(jobs=2)._resolve_executor(1) is None
-        resolved = SweepRunner(jobs=2)._resolve_executor(5)
-        assert isinstance(resolved, PoolExecutor)
+    def test_serial_name_and_one_worker_pool_run_inline(self):
+        # The "serial" selector, a one-worker pool, and a local pool left
+        # with one pending job (by name or instance) all run in this
+        # process; a pool with more work runs on worker processes.
+        def worker_pids(runner, apps):
+            _, report = runner.run_with_report(grid(apps=apps))
+            return {timing.worker_pid for timing in report.timings}
+
+        here = {os.getpid()}
+        two = ("SRAD", "ATAX")
+        for runner, apps in (
+            (SweepRunner(jobs=4, executor="serial", use_cache=False), two),
+            (SweepRunner(jobs=1, use_cache=False), two),
+            (SweepRunner(jobs=2, use_cache=False), ("SRAD",)),
+        ):
+            assert worker_pids(runner, apps) == here
+        pool = PoolExecutor(max_workers=2)
+        try:
+            runner = SweepRunner(jobs=2, executor=pool, use_cache=False)
+            assert worker_pids(runner, ("SRAD",)) == here
+            assert pool.stats()["leases"] == 0  # never forked a worker
+        finally:
+            pool.shutdown()
+        forked = worker_pids(SweepRunner(jobs=2, use_cache=False), two)
+        assert forked and not forked & here
 
     def test_explicit_instance_used_verbatim(self):
-        instance = SerialExecutor()
-        assert SweepRunner(executor=instance)._resolve_executor(5) is instance
+        class Recording(SerialExecutor):
+            submitted = []
+
+            def submit(self, job, attempt, fault):
+                self.submitted.append(job.app_name)
+                return super().submit(job, attempt, fault)
+
+        instance = Recording()
+        SweepRunner(jobs=2, executor=instance).run(grid(apps=("SRAD", "ATAX")))
+        assert instance.submitted == ["SRAD", "ATAX"]
 
     def test_serial_instance_matches_serial_name(self):
-        # The SerialExecutor instance goes through the parallel collection
-        # loop, the "serial" name through the legacy loop — results must
-        # be byte-identical.
+        # A caller's SerialExecutor instance and the "serial" name drive
+        # the same collection loop — results must be byte-identical.
         jobs = grid(apps=("ATAX", "GUPS"))
         by_name, _ = SweepRunner(executor="serial").run_with_report(jobs)
         common.clear_cache()
@@ -252,23 +279,46 @@ class TestByteIdentityAcceptance:
         monkeypatch.setattr(common, "_CACHE_DIR", store_dir)
         jobs = sweep_jobs_13bc(SCALE)
 
-        # Cold store, remote backend: two worker processes populate it.
+        def entries(root):
+            return sorted(glob.glob(os.path.join(root, "**", "*.json"), recursive=True))
+
+        def assert_cold_counters(report, written):
+            # The runner's process probes each unique job once and writes
+            # every simulated result itself, on every backend.
+            assert report.store["misses"] == report.jobs_simulated
+            assert report.store["stores"] == report.jobs_simulated == written
+
+        # Cold store, remote backend: two worker processes simulate, the
+        # coordinator's process populates the store.
         with backend_executor("remote") as executor:
             remote_results, remote_report = SweepRunner(
                 jobs=2, executor=executor
             ).run_with_report(jobs)
         assert remote_report.failures == []
+        assert_cold_counters(remote_report, len(entries(store_dir)))
         store = ResultStore(store_dir)
         fingerprints = store.verify(fingerprints=True)
         assert fingerprints["checked"] == len(jobs)
         assert fingerprints["ok"] == len(jobs)
 
         # Warm store, pool backend: every job is a disk hit — the remote
-        # workers' entries are readable verbatim by the local pool path.
+        # run's entries are readable verbatim by the local pool path.
         common.clear_cache()
         pool_results, pool_report = SweepRunner(jobs=2).run_with_report(jobs)
         assert pool_report.cache_hits == len(jobs)
         assert pool_report.store["hits"] == len(jobs)
+        assert pool_report.store["misses"] == 0
+        assert pool_report.store["stores"] == 0
+
+        # Partly cold store, pool backend: exactly the dropped entries
+        # are re-simulated and written back.
+        for path in entries(store_dir)[:4]:
+            os.remove(path)
+        common.clear_cache()
+        _, refill_report = SweepRunner(jobs=2).run_with_report(jobs)
+        assert refill_report.jobs_simulated == 4
+        assert_cold_counters(refill_report, 4)
+        assert len(entries(store_dir)) == len(jobs)
 
         # Fresh compute, serial backend, cache reads disabled: the ground
         # truth the stored entries must match byte-for-byte.
@@ -276,6 +326,15 @@ class TestByteIdentityAcceptance:
         serial_results, _ = SweepRunner(
             executor="serial", use_cache=False
         ).run_with_report(jobs)
+        assert len(entries(store_dir)) == len(jobs)
+
+        # Cold store, serial backend: one probe and one write per job.
+        monkeypatch.setattr(common, "_CACHE_DIR", str(tmp_path / "serial"))
+        _, serial_report = SweepRunner(
+            jobs=2, executor="serial"
+        ).run_with_report(jobs[:4])
+        assert_cold_counters(serial_report, len(entries(str(tmp_path / "serial"))))
+        assert serial_report.jobs_simulated == 4
 
         remote_fps = [common.result_fingerprint(r) for r in remote_results]
         pool_fps = [common.result_fingerprint(r) for r in pool_results]
@@ -327,13 +386,15 @@ class TestRemoteProtocol:
         coordinator = Coordinator()
         coordinator.close()
         with pytest.raises(RuntimeError, match="closed"):
-            coordinator.submit_task(grid()[0], "", True, 1, None)
+            coordinator.submit_task(grid()[0], 1, None)
 
     def test_bad_hello_never_registers(self):
         coordinator = Coordinator()
         try:
             sock = _fake_worker(coordinator, hello=("hello", 999, {}))
-            # The coordinator hangs up on a protocol mismatch...
+            # The coordinator names its protocol and hangs up on a
+            # mismatch...
+            assert _recv_msg(sock) == ("reject", PROTOCOL_VERSION)
             assert sock.recv(1) == b""
             sock.close()
             # ...and the worker never counted as connected.
@@ -346,7 +407,7 @@ class TestRemoteProtocol:
         try:
             sock = _fake_worker(coordinator)
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], "", True, 1, None)
+            task = coordinator.submit_task(grid()[0], 1, None)
             message = _recv_msg(sock)
             assert message[0] == "job" and message[1] == task.task_id
             sock.close()  # the "worker" dies holding the job
@@ -360,7 +421,7 @@ class TestRemoteProtocol:
         try:
             sock = _fake_worker(coordinator)
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], "", True, 1, None)
+            task = coordinator.submit_task(grid()[0], 1, None)
             _recv_msg(sock)  # the fake worker now "runs" the job
             coordinator.recycle("test recycle")
             _send_msg(sock, ("ok", task.task_id, "late result"))
@@ -371,7 +432,7 @@ class TestRemoteProtocol:
 
     def test_round_trip_through_in_process_worker(self):
         """Full protocol round trip with ``worker_main`` running in a
-        thread: submit → job → _simulate → ok → future resolves."""
+        thread: submit → job → run_attempt → ok → future resolves."""
 
         coordinator = Coordinator()
         exit_code = []
@@ -384,7 +445,7 @@ class TestRemoteProtocol:
         thread.start()
         try:
             _wait_until(lambda: coordinator.worker_count() == 1)
-            task = coordinator.submit_task(grid()[0], "", True, 1, None)
+            task = coordinator.submit_task(grid()[0], 1, None)
             outcome = task.future.result(timeout=120.0)
             assert outcome.result.app_name == "ATAX"
             assert outcome.worker_pid > 0
@@ -397,12 +458,36 @@ class TestRemoteProtocol:
         # Nothing listens on the discard port; the retry window closes.
         assert worker_main("127.0.0.1:9", retry_s=0.3) == EXIT_CONNECT_FAILED
 
+    def test_rejected_worker_exits_with_protocol_code(self):
+        """A coordinator speaking another protocol version rejects the
+        worker's hello; the worker exits loudly, not as a clean shutdown."""
+
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def other_version_coordinator():
+            conn, _addr = server.accept()
+            with conn:
+                _recv_msg(conn)
+                _send_msg(conn, ("reject", PROTOCOL_VERSION + 1))
+
+        thread = threading.Thread(target=other_version_coordinator, daemon=True)
+        thread.start()
+        lines = []
+        try:
+            address = f"127.0.0.1:{server.getsockname()[1]}"
+            code = worker_main(address, retry_s=5.0, log=lines.append)
+        finally:
+            thread.join(timeout=10.0)
+            server.close()
+        assert code == EXIT_PROTOCOL
+        assert any("rejected protocol" in line for line in lines)
+
     def test_run_isolated_timeout_drops_the_task(self):
         coordinator = Coordinator()
         executor = RemoteExecutor(coordinator, min_workers=1)
         try:
             with pytest.raises(FuturesTimeoutError):
-                executor.run_isolated(grid()[0], "", True, 1, None, 0.2)
+                executor.run_isolated(grid()[0], 1, None, 0.2)
             assert coordinator.stats()["queued"] == 0  # dropped, not leaked
         finally:
             coordinator.close()

@@ -23,6 +23,7 @@ from repro.sim.runner import (
     run_sweep,
 )
 from repro.sim.stats import _percentile as stats_percentile
+from repro.sim.store import RESULTS
 
 SCALE = 0.05
 
@@ -133,29 +134,29 @@ class TestOrderingAndDedup:
 class TestCacheIsolation:
     def test_use_cache_false_ignores_inherited_parent_cache(self):
         """Regression: under the fork start method a worker inherits the
-        parent's populated in-process ``_CACHE``; with ``use_cache=False``
-        it must never serve from it (it used to, returning stale results
-        for a runner explicitly built to re-simulate)."""
+        parent's populated in-process cache; with ``use_cache=False`` the
+        sweep must never serve from it (it used to, returning stale
+        results for a runner explicitly built to re-simulate)."""
 
         jobs = small_grid()[:2]
         genuine = common.run_app(
             jobs[0].app_name, jobs[0].config, jobs[0].scale, use_cache=False
         )
         poisoned = dataclasses.replace(genuine, cycles=genuine.cycles + 987_654)
-        common._CACHE[jobs[0].key()] = poisoned
+        RESULTS.put(jobs[0].key(), poisoned)
 
         results = SweepRunner(jobs=2, use_cache=False).run(jobs)
 
         assert results[0].cycles == genuine.cycles
         assert results[0].cycles != poisoned.cycles
         # And the no-cache run did not overwrite the parent's entry.
-        assert common._CACHE[jobs[0].key()] is poisoned
+        assert RESULTS.get(jobs[0].key()) is poisoned
 
     def test_use_cache_false_serial_ignores_parent_cache(self):
         job = small_grid()[0]
         genuine = common.run_app(job.app_name, job.config, job.scale, use_cache=False)
         poisoned = dataclasses.replace(genuine, cycles=genuine.cycles + 987_654)
-        common._CACHE[job.key()] = poisoned
+        RESULTS.put(job.key(), poisoned)
 
         results = SweepRunner(jobs=1, use_cache=False).run([job])
         assert results[0].cycles == genuine.cycles

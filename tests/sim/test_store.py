@@ -11,13 +11,15 @@ collection, verification, and the process-wide counters.
 import json
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.config import table1_config
 from repro.experiments import common
 from repro.sim import store as store_mod
-from repro.sim.store import ResultStore, key_digest
+from repro.sim.store import ResultCache, ResultStore, key_digest
 
 SCALE = 0.05
 APP = "GUPS"
@@ -326,3 +328,57 @@ class TestCounters:
         assert stats["legacy_flat_entries"] == 0
         assert stats["total_bytes"] > 0
         assert stats["counters"]["stores"] == 1
+
+
+class TestResultCache:
+    def test_lru_keeps_the_bound_and_evicts_least_recent(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "MEMORY_ENTRIES", 2)
+        cache = ResultCache()
+        cache.put("a", "result-a")
+        cache.put("b", "result-b")
+        assert cache.get("a") == "result-a"  # "b" is now least recent
+        cache.put("c", "result-c")
+        assert len(cache) == 2
+        assert cache.get("b") is None
+        assert cache.get("a") == "result-a" and cache.get("c") == "result-c"
+        counters = store_mod.counters_snapshot()
+        assert counters["memory_evictions"] == 1
+        assert (counters["memory_hits"], counters["memory_misses"]) == (3, 1)
+        # Memory-only probes never count as disk lookups.
+        assert (counters["hits"], counters["misses"]) == (0, 0)
+
+    def test_falls_through_to_disk_and_remembers(self, tmp_path, result):
+        cache = ResultCache()
+        root = str(tmp_path)
+        cache.put(KEY, result, root)
+        cache.clear()
+        loaded = cache.get(KEY, root)
+        assert common.result_fingerprint(loaded) == common.result_fingerprint(result)
+        assert cache.get(KEY, root) is loaded  # now served from memory
+        counters = store_mod.counters_snapshot()
+        assert (counters["stores"], counters["hits"], counters["misses"]) == (1, 1, 0)
+        assert (counters["memory_hits"], counters["memory_misses"]) == (1, 1)
+
+    def test_concurrent_puts_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "MEMORY_ENTRIES", 8)
+        cache = ResultCache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def churn(worker):
+            for index in range(500):
+                cache.put(f"{worker}-{index}", index)
+                cache.get(f"{worker}-{index // 2}")
+
+        threads = [threading.Thread(target=churn, args=(n,)) for n in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(cache) == 8
+        evictions = store_mod.counters_snapshot()["memory_evictions"]
+        assert evictions == 6 * 500 - 8

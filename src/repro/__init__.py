@@ -24,7 +24,7 @@ from repro.sim.results import KernelResult, SimResult, geomean, speedup
 from repro.system import GPUSystem, simulate
 from repro.workloads.registry import all_apps, app_names, make_app
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "GPUSystem",

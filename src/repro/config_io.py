@@ -58,13 +58,8 @@ def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
         "lds_before_icache": config.lds_before_icache,
         "dedup_shared_fills": config.dedup_shared_fills,
     }
-    # The engine is serialized only when it deviates from the default so
-    # configuration files written before the knob existed round-trip
-    # unchanged (and event-mode signatures stay stable).
-    if config.engine != "event":
-        payload["engine"] = config.engine
-    # Same rule for the subregion-coalescing section: emitted only when a
-    # scheme wires the store or a knob was changed, so every pre-existing
+    # The subregion-coalescing section is emitted only when a scheme
+    # wires the store or a knob was changed, so every pre-existing
     # configuration (and its cache signature) serializes byte-identically.
     if (
         getattr(config.scheme, "uses_subregion", False)
@@ -87,6 +82,9 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
     file is an error rather than a silently-ignored setting.
     """
 
+    # "engine" is a legacy key: files written while a second, vectorized
+    # timing engine existed may carry it. Its value never changed a
+    # result, so it is accepted and discarded.
     known_top = set(_SECTION_TYPES) | {"scheme", "subregion", "page_size", "va_bits", "lds_before_icache", "dedup_shared_fills", "engine"}
     unknown = set(payload) - known_top
     if unknown:
@@ -100,7 +98,7 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
         from repro.schemes import resolve
 
         kwargs["scheme"] = resolve(payload["scheme"])
-    for scalar in ("page_size", "va_bits", "lds_before_icache", "dedup_shared_fills", "engine"):
+    for scalar in ("page_size", "va_bits", "lds_before_icache", "dedup_shared_fills"):
         if scalar in payload:
             kwargs[scalar] = payload[scalar]
 

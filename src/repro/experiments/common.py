@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -39,9 +38,12 @@ _CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", "")
 #: treated as stale and re-simulated (then overwritten).
 CACHE_SCHEMA = "repro-simresult-v2"
 
-#: Kept for callers that tune cache logging by name; the store itself
-#: logs under "repro.sim.store" (see :mod:`repro.sim.store`).
-_LOG = logging.getLogger("repro.experiments.cache")
+#: sha256 over the sorted names and bytes of ``tests/goldens/*.json``:
+#: the model output this ``CACHE_SCHEMA`` was cut against.
+#: ``tests/sim/test_goldens.py`` recomputes it, so regenerated goldens (a
+#: model change) fail the suite until both tags are bumped together, and
+#: no store keeps serving the old model's results.
+GOLDENS_DIGEST = "ca9e7a5648522789623e21b56f6a1dcf229c4beeb3762baec762974190d90510"
 
 
 def clear_cache() -> None:
@@ -53,15 +55,10 @@ def clear_cache() -> None:
 def _config_signature(config: SystemConfig) -> str:
     # Hash the explicit serialized form, not repr(): the signature then
     # only changes when a setting's *value* changes, not when unrelated
-    # fields are added to the dataclasses. The engine selection is dropped
-    # before hashing: both engines produce byte-identical results (the
-    # equivalence battery enforces this), so a vectorized run may serve —
-    # and be served by — an event-mode cache entry.
+    # fields are added to the dataclasses.
     from repro.config_io import config_to_dict
 
-    payload = config_to_dict(config)
-    payload.pop("engine", None)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

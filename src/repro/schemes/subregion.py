@@ -20,11 +20,6 @@ Detection is strictly read-only on the page table: only pages that are
 already mapped are examined (``is_mapped`` before ``translate``), so the
 deterministic first-touch frame-allocation sequence every other scheme
 sees is untouched.
-
-The store is deliberately off the vectorized engine's fast path: the
-scheme declares ``vectorized="fallback"``, which routes memory ops
-through the event-exact slow path (byte-identical, enforced by the
-equivalence battery) instead of silently mispredicting.
 """
 
 from __future__ import annotations
@@ -204,7 +199,6 @@ register_plugin(
         "walker path (arXiv 2110.08613)"
     ),
     uses_subregion=True,
-    vectorized="fallback",
     analytical=False,
     tags=("subregion-grid",),
 )

@@ -112,8 +112,8 @@ class Port:
 
         Besides the free-time heap and busy-cycle counter this detaches any
         attached timeline sampler and replaces the idle tracker with a fresh
-        one: back-to-back in-process runs (the engine-equivalence battery
-        compares two engines inside one process) must each start from
+        one: back-to-back in-process runs (the golden and analytical
+        batteries simulate many jobs in one process) must each start from
         identical port state, and a stale sampler or tracker would leak the
         first run's history into the second run's distributions.
         """

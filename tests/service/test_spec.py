@@ -66,10 +66,14 @@ class TestValidation:
         assert excinfo.value.field == "schemes"
         assert "baseline" in excinfo.value.choices
 
-    def test_unknown_engine_lists_choices(self):
-        with pytest.raises(SpecError) as excinfo:
-            validate_spec({"figure": "fig13", "engine": "fpga"})
-        assert excinfo.value.choices == ["event", "vectorized"]
+    def test_engine_field_rejected_as_unknown(self):
+        # There is one timing engine; a spec still naming one gets the
+        # ordinary unknown-field error listing the valid fields.
+        with pytest.raises(SpecError, match="unknown spec field") as excinfo:
+            validate_spec({"figure": "fig13", "engine": "event"})
+        assert excinfo.value.field == "engine"
+        assert excinfo.value.choices == sorted(KNOWN_FIELDS)
+        assert "engine" not in KNOWN_FIELDS
 
     @pytest.mark.parametrize("scale", [0, -1, "big", None])
     def test_bad_scale_rejected(self, scale):
@@ -132,32 +136,16 @@ class TestExpansion:
         ]
         assert all(job.scale == 0.05 for job in jobs)
 
-    def test_engine_and_config_knobs_applied(self):
+    def test_config_knobs_applied(self):
         spec = validate_spec(
             {
                 "apps": ["GUPS"],
                 "schemes": ["baseline"],
                 "scale": 0.05,
-                "engine": "vectorized",
                 "page_size": 65536,
                 "l2_tlb_entries": 512,
             }
         )
         (job,) = expand_spec(spec)
-        assert job.config.engine == "vectorized"
         assert job.config.page_size == 65536
         assert job.config.tlb.l2_entries == 512
-
-    def test_engine_choice_does_not_change_cache_identity(self):
-        # The engine is a pure speed knob; the service must dedup a
-        # vectorized resubmission against event-mode cache entries.
-        base = validate_spec({"apps": ["GUPS"], "schemes": ["baseline"], "scale": 0.05})
-        fast = validate_spec(
-            {"apps": ["GUPS"], "schemes": ["baseline"], "scale": 0.05,
-             "engine": "vectorized"}
-        )
-        (event_job,) = expand_spec(base)
-        (vector_job,) = expand_spec(fast)
-        assert event_job.key() == vector_job.key()
-        # But the specs themselves are distinct submissions.
-        assert spec_key(base) != spec_key(fast)

@@ -14,10 +14,7 @@ Jobs whose simulated walk count is tiny (< ``MIN_WALKS``) are excluded
 from the *relative* PTW-PKI bounds — a handful of absolute walks of noise
 is a huge relative error on a near-zero denominator — but still assert
 exact instruction counts, which must match the simulator for every job.
-
-The vectorized engine stands in for the event engine here: the
-equivalence battery (test_engine_equivalence.py) proves byte identity, so
-comparisons against it are comparisons against the event engine.
+The reference results come straight from :class:`GPUSystem`, uncached.
 """
 
 from __future__ import annotations
@@ -62,12 +59,12 @@ def _memory_only_cache(monkeypatch):
 
 def _simulate(app_name, config, scale=SCALE):
     app = make_app(app_name, scale=scale, page_size=config.page_size)
-    return GPUSystem(config.with_engine("vectorized")).run(app)
+    return GPUSystem(config).run(app)
 
 
 def _grid_jobs():
-    """Every application once, rotating through the fig13 scheme variants
-    (same diagonal subsample as the engine-equivalence battery)."""
+    """Every application once, rotating through the fig13 scheme variants,
+    so every scheme family appears."""
 
     jobs = fig13_sweep_jobs(scale=SCALE)
     apps = list(dict.fromkeys(job.app_name for job in jobs))

@@ -209,8 +209,8 @@ class TestWaveScheduler:
 class TestPortResetHygiene:
     """Port.reset must restore the *complete* just-constructed state.
 
-    Back-to-back in-process runs (the engine-equivalence battery) reuse
-    nothing, but telemetry helpers reset ports between phases; a reset that
+    Back-to-back in-process runs (the golden and analytical batteries)
+    reuse nothing, but telemetry helpers reset ports between phases; a reset that
     leaked an attached timeline sampler or accumulated idle gaps would bleed
     one run's history into the next run's distributions.
     """

@@ -1,9 +1,8 @@
 """Golden-snapshot suite: full serialized results pinned as JSON files.
 
-The equivalence battery proves the two engines agree with *each other*;
-these goldens pin both against *history*. Every counter, kernel window
-and distribution of a small app/scheme matrix (2 apps x 4 schemes at
-scale 0.05, event engine) is stored under ``tests/goldens/`` — any
+These goldens pin the simulator against *history*. Every counter,
+kernel window and distribution of a small app/scheme matrix (2 apps x 4
+schemes at scale 0.05) is stored under ``tests/goldens/`` — any
 behavioral drift in the simulator shows up as a readable JSON diff
 instead of a silently shifted figure.
 
@@ -11,18 +10,21 @@ After an *intentional* model change, regenerate with::
 
     pytest tests/sim/test_goldens.py --update-goldens
 
-and review the golden diffs like any other code change.
+review the golden diffs like any other code change, then bump
+``CACHE_SCHEMA`` and ``GOLDENS_DIGEST`` (repro.experiments.common)
+together, so stores holding the old model's results stop serving them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.config import TxScheme, table1_config
-from repro.experiments.common import serialize_result
+from repro.experiments.common import GOLDENS_DIGEST, serialize_result
 from repro.system import GPUSystem
 from repro.workloads.registry import make_app
 
@@ -79,3 +81,16 @@ def test_goldens_have_no_strays():
     }
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert actual == expected
+
+
+def test_goldens_digest_matches_cache_schema():
+    """The goldens are the model output ``CACHE_SCHEMA`` names; if they
+    change without a schema bump, existing stores serve stale results."""
+
+    digest = hashlib.sha256()
+    for path in sorted(GOLDEN_DIR.glob("*.json"), key=lambda p: p.name):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    assert digest.hexdigest() == GOLDENS_DIGEST, (
+        "model output changed: bump CACHE_SCHEMA and GOLDENS_DIGEST together"
+    )

@@ -143,6 +143,22 @@ class TestRetries:
         assert report.failures == []
         assert report.retries == 1
 
+    def test_retried_result_byte_identical_to_clean_run(self):
+        # A failed first attempt must leave no trace in the result the
+        # retry produces.
+        from repro.system import GPUSystem
+        from repro.workloads.registry import make_app
+
+        config = table1_config()
+        clean = GPUSystem(config).run(make_app("ATAX", scale=SCALE))
+        runner = SweepRunner(
+            jobs=1, use_cache=False, fault=fail_atax_once, max_retries=2,
+            retry_backoff_s=0,
+        )
+        (result,) = runner.run([SweepJob("ATAX", config, SCALE)])
+        assert common.serialize_result(result) == common.serialize_result(clean)
+        assert common.result_fingerprint(result) == common.result_fingerprint(clean)
+
     def test_persistent_failure_recorded_not_fatal(self):
         runner = SweepRunner(
             jobs=2,

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.config import table1_config
+from repro.config import TxScheme, table1_config
+from repro.experiments.common import result_fingerprint
 from repro.sim.trace import (
     PORTS_PID,
     ExecutionTracer,
@@ -14,6 +15,7 @@ from repro.sim.trace import (
     write_chrome_trace,
 )
 from repro.system import GPUSystem
+from repro.workloads.registry import make_app
 from tests.conftest import make_tiny_app
 
 
@@ -189,6 +191,17 @@ class TestChromeTraceExport:
 
 
 class TestSystemTracing:
+    def test_timelines_do_not_perturb_results(self):
+        # Telemetry observes the ports; it must never change what they
+        # compute.
+        config = table1_config(TxScheme.ICACHE_LDS)
+        plain = GPUSystem(config).run(make_app("NW", scale=0.02))
+        system = GPUSystem(config)
+        timelines = system.attach_timelines()
+        observed = system.run(make_app("NW", scale=0.02))
+        assert result_fingerprint(observed) == result_fingerprint(plain)
+        assert any(len(sampler) for sampler in timelines.values())
+
     def test_untraced_run_records_nothing(self, config, tiny_app):
         system = GPUSystem(config)
         system.run(tiny_app)  # no tracer attached: must not crash

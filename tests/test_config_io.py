@@ -79,6 +79,21 @@ class TestPartialAndInvalid:
         with pytest.raises(ValueError):
             config_from_dict({"tlb": {"bogus_knob": 1}})
 
+    @pytest.mark.parametrize("engine", ["event", "vectorized"])
+    def test_legacy_engine_key_loads_with_same_signature(self, engine):
+        # Files written while a second timing engine existed may carry a
+        # top-level "engine" key; it loads, is discarded, and the config
+        # keeps the cache identity of the same payload without it.
+        from repro.experiments.common import _config_signature
+
+        payload = config_to_dict(table1_config(TxScheme.ICACHE_LDS))
+        legacy = config_from_dict(dict(payload, engine=engine))
+        assert legacy == config_from_dict(payload)
+        assert _config_signature(legacy) == _config_signature(
+            config_from_dict(payload)
+        )
+        assert "engine" not in config_to_dict(legacy)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"scheme": "teleport"})

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config import TxScheme, table1_config
+from repro.experiments.common import result_fingerprint, serialize_result
 from repro.system import GPUSystem
+from repro.workloads.registry import make_app
 from tests.conftest import make_tiny_app
 
 
@@ -148,3 +150,28 @@ class TestConcurrentExecution:
         assert conc_system.stats.get("instructions") == (
             seq_a.instructions + seq_b.instructions
         )
+
+
+class TestConcurrentDeterminism:
+    @pytest.mark.parametrize(
+        "scheme", [TxScheme.BASELINE, TxScheme.ICACHE_LDS], ids=lambda s: s.value
+    )
+    def test_concurrent_results_byte_identical_across_runs(self, scheme):
+        # Two real workloads sharing the GPU: a fresh system must reproduce
+        # every per-app result byte for byte, the contract the result cache
+        # relies on.
+        def both_apps():
+            config = table1_config(scheme)
+            apps = [
+                make_app(name, scale=0.02, page_size=config.page_size)
+                for name in ("NW", "SSSP")
+            ]
+            half = config.gpu.num_cus // 2
+            partitions = [list(range(half)), list(range(half, 2 * half))]
+            return GPUSystem(config).run_concurrent(apps, partitions)
+
+        first, second = both_apps(), both_apps()
+        assert [r.app_name for r in first] == ["NW", "SSSP"]
+        for one, two in zip(first, second):
+            assert serialize_result(one) == serialize_result(two)
+            assert result_fingerprint(one) == result_fingerprint(two)

@@ -1,7 +1,10 @@
 """Public-API hygiene: exports resolve, docstrings exist, version sane."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,25 @@ class TestTopLevelExports:
         assert callable(make_app)
         assert TxScheme.ICACHE_LDS.value == "icache+lds"
         assert table1_config().gpu.num_cus == 8
+
+    def test_simulates_with_no_third_party_packages(self):
+        # pyproject declares no runtime dependencies; a simulation and an
+        # analytical estimate must run with numpy unimportable.
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.cli import main\n"
+            "assert main(['run', 'NW', '--scale', '0.02']) == 0\n"
+            "assert main(['estimate', 'table2', '--compare', '--scale', "
+            "'0.02', '--apps', 'NW']) == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def _walk_modules():

@@ -1,10 +1,13 @@
 """Golden-snapshot suite: full serialized results pinned as JSON files.
 
 These goldens pin the simulator against *history*. Every counter,
-kernel window and distribution of a small app/scheme matrix (2 apps x 4
+kernel window and distribution of a small app/scheme matrix (4 apps x 4
 schemes at scale 0.05) is stored under ``tests/goldens/`` — any
 behavioral drift in the simulator shows up as a readable JSON diff
-instead of a silently shifted figure.
+instead of a silently shifted figure. NW and SSSP are TLB-resident;
+ATAX and GUPS are walk-heavy (most translations walk, and the LDS and
+I-cache arms evict compressed groups), so the walker, walk cache and
+packing paths are pinned too.
 
 After an *intentional* model change, regenerate with::
 
@@ -29,7 +32,7 @@ from repro.system import GPUSystem
 from repro.workloads.registry import make_app
 
 SCALE = 0.05
-APPS = ("NW", "SSSP")
+APPS = ("NW", "SSSP", "ATAX", "GUPS")
 SCHEMES = (
     TxScheme.BASELINE,
     TxScheme.LDS_ONLY,

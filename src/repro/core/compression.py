@@ -46,6 +46,24 @@ class BaseDeltaCodec:
             raise ValueError("tags must be non-negative")
         return (max(tags) - lo) < self._delta_limit
 
+    def fits(self, resident: Sequence[int], incoming: int) -> bool:
+        """Whether ``incoming`` packs with *every* resident tag.
+
+        True iff the spread of ``resident`` plus ``incoming`` is below the
+        delta limit; then :meth:`packable_subset` would keep every resident,
+        so a fill can skip that search.
+        """
+
+        if not resident:
+            return True
+        lo = min(resident)
+        hi = max(resident)
+        if incoming < lo:
+            lo = incoming
+        elif incoming > hi:
+            hi = incoming
+        return hi - lo < self._delta_limit
+
     def packable_subset(self, resident: Sequence[int], incoming: int) -> List[int]:
         """Residents (values) that remain packable alongside ``incoming``.
 

@@ -50,7 +50,22 @@ class VictimFillFlow:
             stages.append(("icache", icache_tx.tx_fill))
         if not lds_first:
             stages.reverse()
-        self._stages = stages
+        # (is_lds, fill, installed, installed_with_victim, bypassed): the
+        # per-stage counter keys are built once, not per victim.
+        self._stages = [
+            (
+                label == "lds",
+                fill,
+                f"{name}.{label}_installed",
+                f"{name}.{label}_installed_with_victim",
+                f"{name}.{label}_bypassed",
+            )
+            for label, fill in stages
+        ]
+        self._counts = self.stats.counts
+        self._victims = f"{name}.victims"
+        self._lds_skipped_shared = f"{name}.lds_skipped_shared"
+        self._to_l2_tlb = f"{name}.to_l2_tlb"
         # Duplication filter (the paper's future-work extension): victims
         # for pages already seen by 2+ CUs skip the private LDS so the one
         # copy lives in the shared I-cache instead of N private copies.
@@ -59,7 +74,8 @@ class VictimFillFlow:
     def fill(self, entry: TranslationEntry, now: int) -> None:
         """Route one L1-TLB victim through the Figure 12 flow."""
 
-        self.stats.add(f"{self.name}.victims")
+        counts = self._counts
+        counts[self._victims] += 1.0
         candidate: Optional[TranslationEntry] = entry
 
         # Figure 12: offer the candidate to each reconfigurable structure
@@ -68,28 +84,28 @@ class VictimFillFlow:
         # …→6→7→8); a *bypassed* fill (target segment/line is
         # application-owned) forwards the candidate unchanged (flows 1→2→3
         # and …→6→9).
-        for label, fill in self._stages:
+        for is_lds, fill, installed, with_victim, bypassed in self._stages:
             if candidate is None:
                 return
             if (
-                label == "lds"
+                is_lds
                 and self._sharing is not None
                 and self._sharing.is_shared(candidate.vpn)
             ):
-                self.stats.add(f"{self.name}.lds_skipped_shared")
+                counts[self._lds_skipped_shared] += 1.0
                 continue
             accepted, displaced = fill(candidate, now)
             if accepted:
                 if displaced is None:
-                    self.stats.add(f"{self.name}.{label}_installed")
+                    counts[installed] += 1.0
                     return
-                self.stats.add(f"{self.name}.{label}_installed_with_victim")
+                counts[with_victim] += 1.0
                 candidate = displaced
             else:
-                self.stats.add(f"{self.name}.{label}_bypassed")
+                counts[bypassed] += 1.0
 
         if candidate is not None:
-            self.stats.add(f"{self.name}.to_l2_tlb")
+            counts[self._to_l2_tlb] += 1.0
             l2_victim = self.l2_tlb.insert(candidate)
             if l2_victim is not None and self.ducati is not None:
                 self.ducati.fill(l2_victim)

@@ -63,6 +63,21 @@ class ReconfigurableICache(InstructionCache):
         from repro.sim.engine import Port as _Port
 
         self.tx_port = _Port(f"{name}.tx_port", units=1, occupancy=1)
+        self._tx_probe_latency = tx_config.tx_probe_latency
+        self._tx_tag_miss_latency = (
+            tx_config.tx_tag_latency
+            + tx_config.tx_serial_compare_latency
+            + tx_config.mux_latency
+            + tx_config.extra_wire_latency
+        )
+        self._tx_hit_latency = tx_config.tx_hit_latency
+        self._tx_hits = f"{name}.tx_hits"
+        self._tx_misses = f"{name}.tx_misses"
+        self._tx_bypass_ic_mode = f"{name}.tx_bypass_ic_mode"
+        self._tx_refills = f"{name}.tx_refills"
+        self._tx_compression_evictions = f"{name}.tx_compression_evictions"
+        self._tx_evictions = f"{name}.tx_evictions"
+        self._tx_fills = f"{name}.tx_fills"
 
     # ------------------------------------------------------------------
     # Direct-mapped translation indexing (Figure 9)
@@ -86,37 +101,33 @@ class ReconfigurableICache(InstructionCache):
         start = self.tx_port.request(anchor)
         queue = start - anchor
         cache_line = self._line_for(key[2])
-        if not cache_line.is_tx or not cache_line.tx_entries:
+        tx_entries = cache_line.tx_entries
+        if not cache_line.is_tx or not tx_entries:
             # The target way's mode bit says IC-mode/invalid: cheap miss.
-            self.stats.add(f"{self.name}.tx_misses")
-            return None, queue + self.tx_config.tx_probe_latency
-        entry = cache_line.tx_entries.get(key)
+            self._counts[self._tx_misses] += 1.0
+            return None, queue + self._tx_probe_latency
+        entry = tx_entries.get(key)
         if entry is None:
             # Tx-mode way but no tag match: pays the serial tag compare.
-            self.stats.add(f"{self.name}.tx_misses")
-            tag_miss = (
-                self.tx_config.tx_tag_latency
-                + self.tx_config.tx_serial_compare_latency
-                + self.tx_config.mux_latency
-                + self.tx_config.extra_wire_latency
-            )
-            return None, queue + tag_miss
-        del cache_line.tx_entries[key]
+            self._counts[self._tx_misses] += 1.0
+            return None, queue + self._tx_tag_miss_latency
+        del tx_entries[key]
         self._tx_entry_count -= 1
-        if not cache_line.tx_entries:
+        if not tx_entries:
             cache_line.make_invalid()
-        self.stats.add(f"{self.name}.tx_hits")
-        return entry, queue + self.tx_config.tx_hit_latency
+        self._counts[self._tx_hits] += 1.0
+        return entry, queue + self._tx_hit_latency
 
     def tx_fill(self, entry: TranslationEntry, now: int
                 ) -> Tuple[bool, Optional[TranslationEntry]]:
         """Install a victim translation; returns (accepted, displaced)."""
 
+        counts = self._counts
         cache_line = self._line_for(entry.vpn)
         if cache_line.valid and not cache_line.is_tx:
             if self.tx_config.replacement is ICacheReplacement.INSTRUCTION_AWARE:
                 # Translations may never evict instructions.
-                self.stats.add(f"{self.name}.tx_bypass_ic_mode")
+                counts[self._tx_bypass_ic_mode] += 1.0
                 return False, None
             # Naive policy: claim the instruction line for translations.
             cache_line.make_invalid()
@@ -130,37 +141,38 @@ class ReconfigurableICache(InstructionCache):
             cache_line.tx_entries = OrderedDict()
         tx_entries = cache_line.tx_entries
         assert tx_entries is not None
-        if entry.key in tx_entries:
-            tx_entries[entry.key] = entry
-            tx_entries.move_to_end(entry.key)
-            self.stats.add(f"{self.name}.tx_refills")
+        key = entry.key
+        if key in tx_entries:
+            tx_entries[key] = entry
+            tx_entries.move_to_end(key)
+            counts[self._tx_refills] += 1.0
             return True, None
 
         victim = None
-        new_tag = entry.tag_bits(self._index_bits)
-        resident_tags = {
-            key: resident.tag_bits(self._index_bits)
-            for key, resident in tx_entries.items()
-        }
-        packable = set(self.codec.packable_subset(list(resident_tags.values()), new_tag))
-        incompatible = [key for key, tag in resident_tags.items() if tag not in packable]
-        if incompatible:
-            for key in tx_entries:
-                if key in incompatible:
-                    victim = tx_entries.pop(key)
-                    break
-            self._tx_entry_count -= 1
-            self.stats.add(f"{self.name}.tx_compression_evictions")
+        index_bits = self._index_bits
+        new_tag = entry.tag_bits(index_bits)
+        tags = [resident.tag_bits(index_bits) for resident in tx_entries.values()]
+        if not self.codec.fits(tags, new_tag):
+            packable = set(self.codec.packable_subset(tags, new_tag))
+            incompatible = [
+                resident_key
+                for resident_key, tag in zip(tx_entries, tags)
+                if tag not in packable
+            ]
+            if incompatible:
+                victim = tx_entries.pop(incompatible[0])
+                self._tx_entry_count -= 1
+                counts[self._tx_compression_evictions] += 1.0
         if victim is None and len(tx_entries) >= self.tx_config.tx_per_line:
             _, victim = tx_entries.popitem(last=False)
             self._tx_entry_count -= 1
-            self.stats.add(f"{self.name}.tx_evictions")
+            counts[self._tx_evictions] += 1.0
 
-        tx_entries[entry.key] = entry
+        tx_entries[key] = entry
         self._tx_entry_count += 1
         if self._tx_entry_count > self.peak_tx_entries:
             self.peak_tx_entries = self._tx_entry_count
-        self.stats.add(f"{self.name}.tx_fills")
+        counts[self._tx_fills] += 1.0
         return True, victim
 
     # ------------------------------------------------------------------

@@ -120,12 +120,15 @@ class TranslationService:
         # for the ordering ablation).
         stages = []
         if lds_tx is not None:
-            stages.append(("lds", lds_tx.lookup))
+            stages.append(("tx_serviced_by.lds", lds_tx.lookup))
         if icache_tx is not None:
-            stages.append(("icache", icache_tx.tx_lookup))
+            stages.append(("tx_serviced_by.icache", icache_tx.tx_lookup))
         if not config.lds_before_icache:
             stages.reverse()
         self._lookup_stages = stages
+        self._counts = self.stats.counts
+        self._l1_latency = config.tlb.l1_latency
+        self._l2_latency = config.tlb.l2_latency
 
     # ------------------------------------------------------------------
 
@@ -139,13 +142,12 @@ class TranslationService:
     def translate(self, vpn: int, now: int) -> Tuple[int, int]:
         """Translate ``vpn``; returns (completion_time, pfn)."""
 
-        self.stats.add("translations")
+        self._counts["translations"] += 1.0
         self.sharing.record(self.cu_id, vpn)
         key = (self.vmid, 0, vpn)
-        tlb_cfg = self.config.tlb
 
         start = self.l1_port.request(now)
-        latency = (start - now) + tlb_cfg.l1_latency
+        latency = (start - now) + self._l1_latency
         entry = self.l1_tlb.lookup(key)
         if entry is not None:
             return now + latency, entry.pfn
@@ -167,19 +169,20 @@ class TranslationService:
         ``latency`` is the delay accumulated so far.
         """
 
-        for label, lookup in self._lookup_stages:
+        counts = self._counts
+        for serviced_by, lookup in self._lookup_stages:
             entry, stage = lookup(key, anchor)
             latency += stage
             if entry is not None:
-                self.stats.add(f"tx_serviced_by.{label}")
+                counts[serviced_by] += 1.0
                 self._promote(entry, anchor)
                 return anchor + latency, entry.pfn
 
         start = self.l2_tlb_port.request(anchor)
-        latency += (start - anchor) + self.config.tlb.l2_latency
+        latency += (start - anchor) + self._l2_latency
         entry = self.l2_tlb.lookup(key)
         if entry is not None:
-            self.stats.add("tx_serviced_by.l2_tlb")
+            counts["tx_serviced_by.l2_tlb"] += 1.0
             self._promote(entry, anchor)
             return anchor + latency, entry.pfn
 
@@ -187,7 +190,7 @@ class TranslationService:
             entry, stage = self.subregion.lookup(key, anchor)
             latency += stage
             if entry is not None:
-                self.stats.add("tx_serviced_by.subregion")
+                counts["tx_serviced_by.subregion"] += 1.0
                 self._promote(entry, anchor)
                 self.l2_tlb.insert(entry)
                 return anchor + latency, entry.pfn
@@ -196,14 +199,14 @@ class TranslationService:
             entry, stage = self.ducati.lookup(key, anchor)
             latency += stage
             if entry is not None:
-                self.stats.add("tx_serviced_by.ducati")
+                counts["tx_serviced_by.ducati"] += 1.0
                 self._promote(entry, anchor)
                 self.l2_tlb.insert(entry)
                 return anchor + latency, entry.pfn
 
         stage, entry = self.iommu.translate(self.vmid, vpn, anchor)
         latency += stage
-        self.stats.add("tx_serviced_by.iommu")
+        counts["tx_serviced_by.iommu"] += 1.0
         if self.subregion is not None:
             # The walker path just resolved this page: learn contiguity
             # around it (read-only on the page table) and coalesce.
@@ -225,7 +228,7 @@ class TranslationService:
         """
 
         if count > 0:
-            self.stats.add("l1_tlb.hits", count)
+            self._counts["l1_tlb.hits"] += count
 
     def shootdown(self, vpn: int) -> int:
         """Invalidate ``vpn`` everywhere this CU caches it (Section 7.1)."""

@@ -51,8 +51,11 @@ class ComputeUnit:
         ]
         self._waves_per_simd = [0] * gpu.simds_per_cu
         self._max_waves_per_simd = gpu.waves_per_simd
-        self._dram_stats = shared_l2.dram.stats
-        self._dram_name = shared_l2.dram.name
+        dram = shared_l2.dram
+        self._dram_stats = dram.stats
+        self._dram_reads = f"{dram.name}.reads"
+        self._dram_writes = f"{dram.name}.writes"
+        self._dram_activates = f"{dram.name}.activates"
         # Optional ExecutionTracer (repro.sim.trace); None costs nothing.
         self.tracer = None
 
@@ -87,8 +90,8 @@ class ComputeUnit:
     def note_bulk_dram(self, lines: int, is_write: bool) -> None:
         """Account untimed DRAM traffic from a memory strip's tail lines."""
 
-        kind = "writes" if is_write else "reads"
-        self._dram_stats.add(f"{self._dram_name}.{kind}", lines)
+        counts = self._dram_stats.counts
+        counts[self._dram_writes if is_write else self._dram_reads] += lines
         # Sequential lines within a page overwhelmingly share a DRAM row;
         # charge roughly one activate per 16 lines.
-        self._dram_stats.add(f"{self._dram_name}.activates", lines / 16.0)
+        counts[self._dram_activates] += lines / 16.0

@@ -69,6 +69,10 @@ class InstructionCache:
             track_idle=track_idle,
         )
         self._lru_seq = 0
+        self._counts = self.stats.counts
+        self._hits = f"{name}.hits"
+        self._misses = f"{name}.misses"
+        self._fills = f"{name}.fills"
 
     # ------------------------------------------------------------------
     # Instruction path
@@ -88,11 +92,12 @@ class InstructionCache:
         for cache_line in cache_set:
             if cache_line.valid and not cache_line.is_tx and cache_line.tag == tag:
                 cache_line.lru = self._next_lru()
-                self.stats.add(f"{self.name}.hits")
+                self._counts[self._hits] += 1.0
                 return start + self.config.tag_latency
         # Miss: pick a victim and refill from the L2.
-        self.stats.add(f"{self.name}.misses")
-        self.stats.add(f"{self.name}.fills")
+        counts = self._counts
+        counts[self._misses] += 1.0
+        counts[self._fills] += 1.0
         victim = self._choose_instruction_victim(cache_set)
         self._on_instruction_claim(victim)
         victim.make_instruction(tag, self._next_lru())

@@ -73,14 +73,14 @@ class Wavefront:
         count = op[1]
         cu = self.cu
         start = cu.simd_ports[self.simd_index].request(now, count)
-        cu.stats.add("instructions", count)
+        cu.stats.counts["instructions"] += count
         return start + count
 
     def _run_lds(self, op: tuple, now: int) -> int:
         count = op[1]
         cu = self.cu
         start = cu.simd_ports[self.simd_index].request(now, count)
-        cu.stats.add("instructions", count)
+        cu.stats.counts["instructions"] += count
         done = start
         for _ in range(count):
             finished = cu.lds.app_access(done)
@@ -92,9 +92,9 @@ class Wavefront:
         line_id = op[1]
         if line_id in self._ib:
             # Serviced from the wavefront's instruction buffer.
-            self.cu.stats.add("ib.hits")
+            self.cu.stats.counts["ib.hits"] += 1.0
             return now
-        self.cu.stats.add("ib.misses")
+        self.cu.stats.counts["ib.misses"] += 1.0
         done = self.cu.icache.fetch(self._kernel_code_base + line_id, now)
         ib = self._ib
         ib.append(line_id)
@@ -106,8 +106,9 @@ class Wavefront:
         _, vpns, instr_count, is_write, lines_per_page = op
         cu = self.cu
         start = cu.simd_ports[self.simd_index].request(now, instr_count)
-        cu.stats.add("instructions", instr_count)
-        cu.stats.add("mem_instructions", instr_count)
+        counts = cu.stats.counts
+        counts["instructions"] += instr_count
+        counts["mem_instructions"] += instr_count
 
         page_size = cu.page_size
         unique = cu.coalescer.coalesce(vpns)

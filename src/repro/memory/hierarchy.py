@@ -1,9 +1,11 @@
 """Two-level data cache hierarchy in front of DRAM.
 
 Each CU owns a private L1; the L2 is shared GPU-wide (with a port modelling
-its finite bandwidth) and backed by the banked DRAM model. Page-table
-accesses from the IOMMU walkers enter at the shared L2 (:meth:`SharedL2.access`),
-matching the paper's setup where walks are cached but miss the per-CU L1s.
+its finite bandwidth) and backed by the banked DRAM model. Only the data
+path goes through these caches: the IOMMU walkers sit outside the GPU's
+data hierarchy and fetch PTEs from :attr:`SharedL2.dram` directly (the
+page-walk caches are their only cache), as do DUCATI's part-of-memory TLB
+probes.
 """
 
 from __future__ import annotations
@@ -40,15 +42,6 @@ class SharedL2:
         )
         self.port = Port("l2_port", units=port_units, occupancy=1)
         self.dram = dram
-
-    def access(self, addr: int, now: int, is_write: bool = False) -> int:
-        """Access entering at the L2; returns the completion time."""
-
-        start = self.port.request(now)
-        if self.cache.access(addr, is_write):
-            return start + self.config.l2_latency
-        _, done = self.dram.access(addr, start + self.config.l2_latency, is_write)
-        return done
 
 
 class MemoryHierarchy:

@@ -54,6 +54,12 @@ class IOMMU:
         self.walker_pool = Port(f"{name}.walkers", units=config.num_walkers,
                                 occupancy=0)
         self.queue_delay = Distribution(max_samples=50_000)
+        self._request_overhead = config.request_overhead
+        self._l1_tlb_latency = config.l1_tlb_latency
+        self._l2_tlb_latency = config.l2_tlb_latency
+        self._counts = self.stats.counts
+        self._walk_queue_cycles = f"{name}.walk_queue_cycles"
+        self._walks = f"{name}.walks"
 
     def translate(self, vmid: int, vpn: int, anchor: int, vrf_id: int = 0
                   ) -> Tuple[int, TranslationEntry]:
@@ -66,18 +72,18 @@ class IOMMU:
         """
 
         key = (vmid, vrf_id, vpn)
-        latency = self.config.request_overhead
+        latency = self._request_overhead
 
         entry = self.l1_tlb.lookup(key)
         if entry is not None:
-            return latency + self.config.l1_tlb_latency, entry
-        latency += self.config.l1_tlb_latency
+            return latency + self._l1_tlb_latency, entry
+        latency += self._l1_tlb_latency
 
         entry = self.l2_tlb.lookup(key)
         if entry is not None:
             self.l1_tlb.insert(entry)
-            return latency + self.config.l2_tlb_latency, entry
-        latency += self.config.l2_tlb_latency
+            return latency + self._l2_tlb_latency, entry
+        latency += self._l2_tlb_latency
 
         # Full page-table walk: claim a walker slot (queuing if all busy).
         # The walk itself never touches the pool, so computing its latency
@@ -87,9 +93,9 @@ class IOMMU:
         start = self.walker_pool.request(anchor, walk_latency)
         queue = start - anchor
         if queue:
-            self.stats.add(f"{self.name}.walk_queue_cycles", queue)
+            self._counts[self._walk_queue_cycles] += queue
         self.queue_delay.add(queue)
-        self.stats.add(f"{self.name}.walks")
+        self._counts[self._walks] += 1.0
         latency += queue + walk_latency
 
         entry = TranslationEntry(vpn=vpn, pfn=pfn, vmid=vmid, vrf_id=vrf_id)

@@ -7,8 +7,9 @@ This module provides:
 - lazy, deterministic virtual→physical frame allocation (frames are assigned
   in first-touch order and scattered across DRAM rows);
 - the *physical addresses of the page-table entries themselves* for every
-  level of a walk, so walk memory traffic flows through the shared L2 data
-  cache and DRAM models exactly like the paper's gem5 setup;
+  level a walk fetches, so walk memory traffic reaches the DRAM model (its
+  banks and open rows) like any other access; the IOMMU walkers bypass the
+  GPU data caches;
 - multiple page sizes (Section 6.2): 4KB and 64KB pages walk four levels,
   2MB pages terminate at the PMD (three levels).
 """
@@ -82,19 +83,22 @@ class PageTable:
     def entry_for(self, vmid: int, vpn: int, vrf_id: int = 0) -> TranslationEntry:
         return TranslationEntry(vpn=vpn, pfn=self.translate(vmid, vpn), vmid=vmid, vrf_id=vrf_id)
 
-    def walk_addresses(self, vmid: int, vpn: int) -> List[int]:
-        """Physical addresses of the PTEs touched by a full walk, root first.
+    def walk_addresses(self, vmid: int, vpn: int, first_level: int = 0) -> List[int]:
+        """Physical addresses of the PTEs a walk touches, root first.
 
-        Each level's table page is deterministically placed in the PT region
-        based on the VPN prefix it serves, so walks to nearby pages share
-        upper-level table lines (this is what makes page-walk caches and the
-        L2 data cache effective for walk traffic, as in the paper's model).
+        ``first_level`` is the first level the walk fetches (the levels a
+        page-walk-cache hit skipped are not built). Each level's table page
+        is deterministically placed in the PT region based on the VPN
+        prefix it serves, so walks to nearby pages share upper-level table
+        lines (this is what makes page-walk caches effective and lets walks
+        hit open DRAM rows, as in the paper's model).
         """
 
+        levels = self.levels
         addresses = []
-        for level in range(self.levels):
+        for level in range(first_level, levels):
             # Prefix of the VPN resolved *before* this level's index.
-            prefix_shift = _LEVEL_BITS * (self.levels - level)
+            prefix_shift = _LEVEL_BITS * (levels - level)
             prefix = vpn >> prefix_shift
             index = (vpn >> (prefix_shift - _LEVEL_BITS)) & ((1 << _LEVEL_BITS) - 1)
             table_page = (hash((vmid, level, prefix)) & 0x3FFFFF)

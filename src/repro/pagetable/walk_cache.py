@@ -11,7 +11,7 @@ paper's gem5 model implements (Section 5).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.config import IOMMUConfig
 from repro.sim.stats import Stats
@@ -65,42 +65,50 @@ class SplitPageWalkCache:
         self._pgd = _PrefixCache(config.pgd_cache_entries)
         self._pud = _PrefixCache(config.pud_cache_entries)
         self._pmd = _PrefixCache(config.pmd_cache_entries)
+        self._counts = self.stats.counts
+        self._pmd_hits = f"{name}.pmd_hits"
+        self._pud_hits = f"{name}.pud_hits"
+        self._pgd_hits = f"{name}.pgd_hits"
+        self._misses = f"{name}.misses"
 
-    def _prefixes(self, vmid: int, vpn: int):
+    def prefixes(self, vmid: int, vpn: int) -> Tuple[tuple, tuple, tuple]:
         """(pgd, pud, pmd) prefix keys for a walk of ``self.levels`` levels.
 
         A cache at depth d holds the translation produced after d levels of
         the walk, i.e. it is keyed by the VPN bits those levels consumed.
+        A walk computes them once and passes them to :meth:`lookup` and
+        :meth:`fill`.
         """
 
-        pgd = (vmid, vpn >> (_LEVEL_BITS * (self.levels - 1)))
-        pud = (vmid, vpn >> (_LEVEL_BITS * (self.levels - 2)))
-        pmd = (vmid, vpn >> (_LEVEL_BITS * (self.levels - 3)))
+        levels = self.levels
+        pgd = (vmid, vpn >> (_LEVEL_BITS * (levels - 1)))
+        pud = (vmid, vpn >> (_LEVEL_BITS * (levels - 2)))
+        pmd = (vmid, vpn >> (_LEVEL_BITS * (levels - 3)))
         return pgd, pud, pmd
 
-    def lookup(self, vmid: int, vpn: int) -> int:
+    def lookup(self, prefixes: Tuple[tuple, tuple, tuple]) -> int:
         """Number of walk levels that can be skipped (0..levels-1)."""
 
-        pgd, pud, pmd = self._prefixes(vmid, vpn)
+        pgd, pud, pmd = prefixes
         # A cache at intermediate depth d holds the translation produced by
         # the first d levels of the walk, so a hit skips d accesses. Check
         # the deepest cache first ("skip, don't walk").
         if self.levels >= 4 and self._pmd.lookup(pmd):
-            self.stats.add(f"{self.name}.pmd_hits")
+            self._counts[self._pmd_hits] += 1.0
             return 3
         if self.levels >= 3 and self._pud.lookup(pud):
-            self.stats.add(f"{self.name}.pud_hits")
+            self._counts[self._pud_hits] += 1.0
             return 2
         if self._pgd.lookup(pgd):
-            self.stats.add(f"{self.name}.pgd_hits")
+            self._counts[self._pgd_hits] += 1.0
             return 1
-        self.stats.add(f"{self.name}.misses")
+        self._counts[self._misses] += 1.0
         return 0
 
-    def fill(self, vmid: int, vpn: int) -> None:
+    def fill(self, prefixes: Tuple[tuple, tuple, tuple]) -> None:
         """Install the intermediate translations produced by a full walk."""
 
-        pgd, pud, pmd = self._prefixes(vmid, vpn)
+        pgd, pud, pmd = prefixes
         self._pgd.fill(pgd)
         if self.levels >= 3:
             self._pud.fill(pud)

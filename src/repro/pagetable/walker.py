@@ -2,9 +2,9 @@
 
 A :class:`PageWalker` performs the serial chain of PTE memory accesses for
 one walk, consulting the split page-walk caches to skip already-cached upper
-levels. PTE accesses go through the *shared L2 data cache* (and DRAM on a
-miss), matching the paper's model where walk traffic is cached but radically
-slower than a TLB hit.
+levels. PTE accesses go to DRAM directly: the IOMMU walkers sit outside the
+GPU's L1/L2 data hierarchy, so apart from the page-walk caches walk traffic
+is uncached, which is what makes a walk radically slower than a TLB hit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ class PageWalker:
         self.name = name
         self.pwc = SplitPageWalkCache(config, levels=page_table.levels, stats=self.stats)
         self.walk_latency = Distribution(max_samples=50_000)
+        self._pwc_latency = config.pwc_latency
+        self._counts = self.stats.counts
+        self._pte_accesses = f"{name}.pte_accesses"
+        self._walks = f"{name}.walks"
+        self._levels_skipped = f"{name}.levels_skipped"
 
     def walk(self, vmid: int, vpn: int, anchor: int) -> Tuple[int, int]:
         """Run one walk; returns ``(walk_latency, pfn)``.
@@ -48,21 +53,24 @@ class PageWalker:
         :mod:`repro.core.translation`.
         """
 
-        skipped = self.pwc.lookup(vmid, vpn)
-        latency = self.config.pwc_latency
-        addresses = self.page_table.walk_addresses(vmid, vpn)
-        dram = self.shared_l2.dram
-        for address in addresses[skipped:]:
+        pwc = self.pwc
+        prefixes = pwc.prefixes(vmid, vpn)
+        skipped = pwc.lookup(prefixes)
+        latency = self._pwc_latency
+        addresses = self.page_table.walk_addresses(vmid, vpn, skipped)
+        access = self.shared_l2.dram.access
+        for address in addresses:
             # IOMMU walkers fetch PTEs from system memory directly (they sit
             # outside the GPU's L1/L2 data hierarchy); this is a large part
             # of why GPU page walks are an order of magnitude slower than
             # on-chip translation hits (Section 3.1).
-            _, done = dram.access(address, anchor)
+            _, done = access(address, anchor)
             latency += done - anchor
-            self.stats.add(f"{self.name}.pte_accesses")
-        self.pwc.fill(vmid, vpn)
+        pwc.fill(prefixes)
         pfn = self.page_table.translate(vmid, vpn)
-        self.stats.add(f"{self.name}.walks")
-        self.stats.add(f"{self.name}.levels_skipped", skipped)
+        counts = self._counts
+        counts[self._pte_accesses] += len(addresses)
+        counts[self._walks] += 1.0
+        counts[self._levels_skipped] += skipped
         self.walk_latency.add(latency)
         return latency, pfn

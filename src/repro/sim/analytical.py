@@ -283,9 +283,10 @@ class FunctionalReachModel:
                 self.iommu_l1.insert(entry)
             else:
                 counts["walk"] += 1
-                skipped = self.pwc.lookup(0, vpn)
+                prefixes = self.pwc.prefixes(0, vpn)
+                skipped = self.pwc.lookup(prefixes)
                 self.pte_accesses += self.levels - skipped
-                self.pwc.fill(0, vpn)
+                self.pwc.fill(prefixes)
                 entry = TranslationEntry(vpn=vpn, pfn=vpn, vmid=0, vrf_id=0)
                 self.iommu_l1.insert(entry)
                 self.iommu_l2.insert(entry)

@@ -23,6 +23,10 @@ class AccessCoalescer:
     def __init__(self, stats: Optional[Stats] = None, name: str = "coalescer") -> None:
         self.stats = stats if stats is not None else Stats()
         self.name = name
+        self._counts = self.stats.counts
+        self._raw = f"{name}.raw_accesses"
+        self._coalesced = f"{name}.coalesced_accesses"
+        self._merged = f"{name}.merged"
 
     def coalesce(self, vpns: Iterable[int]) -> List[int]:
         """Unique pages touched, in first-touch order."""
@@ -34,10 +38,11 @@ class AccessCoalescer:
                 seen[vpn] = None
         unique = list(seen)
         raw = len(materialized)
-        self.stats.add(f"{self.name}.raw_accesses", raw)
-        self.stats.add(f"{self.name}.coalesced_accesses", len(unique))
+        counts = self._counts
+        counts[self._raw] += raw
+        counts[self._coalesced] += len(unique)
         if raw > len(unique):
-            self.stats.add(f"{self.name}.merged", raw - len(unique))
+            counts[self._merged] += raw - len(unique)
         return unique
 
 
@@ -57,6 +62,9 @@ class InFlightTable:
     ) -> None:
         self.stats = stats if stats is not None else Stats()
         self.name = name
+        self._counts = self.stats.counts
+        self._merges = f"{name}.merges"
+        self._registered = f"{name}.registered"
         self._in_flight: Dict[Tuple, int] = {}
         self._ops_since_prune = 0
         self._prune_interval = prune_interval
@@ -69,13 +77,13 @@ class InFlightTable:
 
         done_at = self._in_flight.get(key)
         if done_at is not None and done_at > now:
-            self.stats.add(f"{self.name}.merges")
+            self._counts[self._merges] += 1.0
             return done_at
         return None
 
     def register(self, key: tuple, completes_at: int, now: Optional[int] = None) -> None:
         self._in_flight[key] = completes_at
-        self.stats.add(f"{self.name}.registered")
+        self._counts[self._registered] += 1.0
         self._ops_since_prune += 1
         if self._ops_since_prune >= self._prune_interval:
             self.prune(now if now is not None else completes_at)

@@ -23,6 +23,11 @@ class FullyAssociativeTLB:
         self.capacity = entries
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats.counts
+        self._hits = f"{name}.hits"
+        self._misses = f"{name}.misses"
+        self._fills = f"{name}.fills"
+        self._evictions = f"{name}.evictions"
         self._entries: "OrderedDict[tuple, TranslationEntry]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -31,10 +36,10 @@ class FullyAssociativeTLB:
     def lookup(self, key: tuple) -> Optional[TranslationEntry]:
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.add(f"{self.name}.misses")
+            self._counts[self._misses] += 1.0
             return None
         self._entries.move_to_end(key)
-        self.stats.add(f"{self.name}.hits")
+        self._counts[self._hits] += 1.0
         return entry
 
     def probe(self, key: tuple) -> bool:
@@ -51,9 +56,9 @@ class FullyAssociativeTLB:
         victim = None
         if len(self._entries) >= self.capacity:
             _, victim = self._entries.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
+            self._counts[self._evictions] += 1.0
         self._entries[key] = entry
-        self.stats.add(f"{self.name}.fills")
+        self._counts[self._fills] += 1.0
         return victim
 
     def invalidate(self, key: tuple) -> bool:

@@ -1,6 +1,8 @@
 """Unit tests for base-delta tag compression."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compression import BaseDeltaCodec
 
@@ -66,6 +68,33 @@ class TestPackableSubset:
 
     def test_empty_residents(self):
         assert BaseDeltaCodec(16, 8).packable_subset([], 7) == []
+
+
+class TestFits:
+    def test_empty_residents_fit(self):
+        assert BaseDeltaCodec(16, 8).fits([], 7)
+
+    def test_boundary_spread(self):
+        codec = BaseDeltaCodec(16, 8)
+        assert codec.fits([100, 300], incoming=355)
+        assert not codec.fits([100, 300], incoming=356)
+        assert not codec.fits([100, 300], incoming=44)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        delta_bits=st.integers(1, 10),
+        resident=st.lists(st.integers(0, 2000), max_size=8),
+        incoming=st.integers(0, 2000),
+    )
+    def test_fits_means_packable_subset_keeps_every_resident(
+        self, delta_bits, resident, incoming
+    ):
+        codec = BaseDeltaCodec(16, delta_bits)
+        fits = codec.fits(resident, incoming)
+        # Exact, not just sufficient: the fill fast path keeps the model.
+        assert fits == codec.can_pack(resident + [incoming])
+        if fits:
+            assert codec.packable_subset(resident, incoming) == list(resident)
 
 
 class TestCompressedBits:

@@ -55,11 +55,6 @@ class TestMemoryHierarchy:
 
 
 class TestSharedL2:
-    def test_direct_l2_access_fills(self, shared_l2):
-        first = shared_l2.access(0, 0)
-        second = shared_l2.access(0, first)
-        assert second - first < first - 0
-
     def test_port_contention(self, shared_l2):
         times = [shared_l2.port.request(0) for _ in range(10)]
         assert max(times) > 0

@@ -35,23 +35,31 @@ class TestPrefixCache:
         assert len(cache) == 0
 
 
+def _lookup(pwc, vmid, vpn):
+    return pwc.lookup(pwc.prefixes(vmid, vpn))
+
+
+def _fill(pwc, vmid, vpn):
+    pwc.fill(pwc.prefixes(vmid, vpn))
+
+
 class TestSplitPageWalkCache:
     def make(self, levels=4):
         return SplitPageWalkCache(IOMMUConfig(), levels=levels)
 
     def test_cold_lookup_skips_nothing(self):
-        assert self.make().lookup(0, 12345) == 0
+        assert _lookup(self.make(), 0, 12345) == 0
 
     def test_full_walk_fill_enables_max_skip(self):
         pwc = self.make()
-        pwc.fill(0, 12345)
-        assert pwc.lookup(0, 12345) == 3  # PMD hit: only the PTE remains
+        _fill(pwc, 0, 12345)
+        assert _lookup(pwc, 0, 12345) == 3  # PMD hit: only the PTE remains
 
     def test_pmd_hit_covers_512_page_neighbourhood(self):
         pwc = self.make()
-        pwc.fill(0, 0)
-        assert pwc.lookup(0, 511) == 3
-        assert pwc.lookup(0, 512) < 3
+        _fill(pwc, 0, 0)
+        assert _lookup(pwc, 0, 511) == 3
+        assert _lookup(pwc, 0, 512) < 3
 
     def test_pud_hit_after_pmd_capacity_overflow(self):
         config = IOMMUConfig()
@@ -59,29 +67,29 @@ class TestSplitPageWalkCache:
         # Fill more distinct PMD regions than the PMD cache holds, within
         # one PUD region; the PMD entries thrash but the PUD entry stays.
         for region in range(config.pmd_cache_entries + 4):
-            pwc.fill(0, region * 512)
-        assert pwc.lookup(0, 0) == 2  # PMD evicted, PUD survives
+            _fill(pwc, 0, region * 512)
+        assert _lookup(pwc, 0, 0) == 2  # PMD evicted, PUD survives
 
     def test_three_level_walk_skips_at_most_two(self):
         pwc = self.make(levels=3)
-        pwc.fill(0, 999)
-        assert pwc.lookup(0, 999) == 2
+        _fill(pwc, 0, 999)
+        assert _lookup(pwc, 0, 999) == 2
 
     def test_vmid_isolation(self):
         pwc = self.make()
-        pwc.fill(0, 777)
-        assert pwc.lookup(1, 777) == 0
+        _fill(pwc, 0, 777)
+        assert _lookup(pwc, 1, 777) == 0
 
     def test_flush(self):
         pwc = self.make()
-        pwc.fill(0, 42)
+        _fill(pwc, 0, 42)
         pwc.flush()
-        assert pwc.lookup(0, 42) == 0
+        assert _lookup(pwc, 0, 42) == 0
 
     def test_stats_hit_counters(self):
         pwc = self.make()
-        pwc.fill(0, 1)
-        pwc.lookup(0, 1)
+        _fill(pwc, 0, 1)
+        _lookup(pwc, 0, 1)
         assert pwc.stats.get("pwc.pmd_hits") == 1
-        pwc.lookup(0, 1 << 30)
+        _lookup(pwc, 0, 1 << 30)
         assert pwc.stats.get("pwc.misses") == 1
